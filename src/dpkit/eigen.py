@@ -39,7 +39,7 @@ def stiffness_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matr
     """P1 stiffness matrix int grad phi_i . grad phi_j dx over all nodes."""
     G = mesh.basis_gradients
     local = mesh.measures[:, None, None] * np.einsum("eid,ejd->eij", G, G)
-    return _scatter(mesh, local)
+    return mesh.scatter(local)
 
 
 def mass_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matrix:
@@ -47,16 +47,7 @@ def mass_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matrix:
     _, w, _ = mesh.quadrature_points(order)
     basis = mesh.basis_at(order)
     local = np.einsum("eq,qi,qj->eij", w, basis, basis)
-    return _scatter(mesh, local)
-
-
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    nv = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
-    return sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.num_nodes, mesh.num_nodes)
-    ).tocsr()
+    return mesh.scatter(local)
 
 
 @dataclass

@@ -10,6 +10,7 @@ functions with cached element gradients.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericError
 
@@ -111,6 +112,7 @@ class Mesh:
         self.free_nodes = np.flatnonzero(mask)
         self._init_geometry()
         self._quad_cache: dict[int, tuple] = {}
+        self._field_bounds: dict = {}  # (field, order) -> (min, max), see fields.field_bounds
 
     @property
     def num_nodes(self) -> int:
@@ -172,6 +174,15 @@ class Mesh:
         """P1 basis values at the reference quadrature points, (nq, dim + 1)."""
         rule = self.reference_rule(order)
         return reference_basis(self.dim, rule.points)
+
+    def scatter(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum per-element matrices (nelems, nv, nv) into a global CSR matrix."""
+        nv = self.elements.shape[1]
+        rows = np.repeat(self.elements, nv, axis=1).ravel()
+        cols = np.tile(self.elements, (1, nv)).ravel()
+        return sp.coo_matrix(
+            (local.ravel(), (rows, cols)), shape=(self.num_nodes, self.num_nodes)
+        ).tocsr()
 
     def edges(self) -> np.ndarray:
         """Unique vertex pairs connected by an element edge, shape (nedges, 2)."""

@@ -14,7 +14,6 @@ a budgeted pair set and therefore lower bounds of the true constants.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,9 +52,6 @@ class ScalarField:
         self._fn = fn
         self.kind = kind
         self.params = params or {}
-        self._bounds_cache: "weakref.WeakKeyDictionary[Mesh, dict]" = (
-            weakref.WeakKeyDictionary()
-        )
 
     @classmethod
     def constant(cls, value: float) -> "ScalarField":
@@ -266,13 +262,13 @@ def sample_pairs(mesh: Mesh, pair_budget: int = 2000, seed: int = 0):
 
 def field_bounds(field: ScalarField, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER):
     """Exact (min, max) of the field over nodes + quadrature points, cached."""
-    cache = field._bounds_cache.setdefault(mesh, {})
-    if order not in cache:
+    key = (field, order)
+    if key not in mesh._field_bounds:
         vals = field(sample_points(mesh, order))
         if not np.all(np.isfinite(vals)):
             raise ValueError("field takes non-finite values on the sample set")
-        cache[order] = (float(vals.min()), float(vals.max()))
-    return cache[order]
+        mesh._field_bounds[key] = (float(vals.min()), float(vals.max()))
+    return mesh._field_bounds[key]
 
 
 def critical_exponent(p: ScalarField, x, dim: int) -> float:
@@ -299,15 +295,22 @@ def critical_exponent_field(p: ScalarField, dim: int) -> ScalarField:
     return ScalarField(fn, "callback", {"derived": "critical-exponent"})
 
 
-def _extremum_check(name, values, points, *, strict=True, flip=False) -> ConditionCheck:
-    """Build a check from per-sample margins (pass iff min margin > 0 / >= 0)."""
+def _extremum_check(
+    name, values, points, *, strict=True, floor=0.0, **extra
+) -> ConditionCheck:
+    """Build a check from per-sample margins (pass iff min margin > / >= floor).
+
+    A failing check carries the worst sample's point as its witness, plus
+    that sample's entry of every ``extra`` per-sample array (e.g. ``s=s``).
+    """
     values = np.asarray(values, dtype=float)
     k = int(np.argmin(values))
     margin = float(values[k])
-    passed = margin > 0.0 if strict else margin >= 0.0
+    passed = margin > floor if strict else margin >= floor
     witness = None
     if not passed:
         witness = {"point": [float(c) for c in points[k]]}
+        witness.update((key, np.asarray(arr)[k].tolist()) for key, arr in extra.items())
     return ConditionCheck(name, passed, margin, witness)
 
 
@@ -435,14 +438,10 @@ def estimate_log_holder(
     mesh: Mesh,
     pair_budget: int = 2000,
     seed: int = 0,
-    fit_decay: bool = False,
-):
+) -> float:
     """Empirical local log-Hölder constant of a field.
 
     Maximizes |f(x)-f(y)| * |log|x-y|| over sampled pairs with |x-y| < 1/2.
-    With ``fit_decay`` also returns decay constants (g_inf, c_g) fitted by
-    anchoring g_inf at the sample point farthest from the origin; only
-    meaningful when the mesh reaches far enough out for the tail to show.
     """
     i, j = sample_pairs(mesh, pair_budget, seed)
     xi, xj = mesh.nodes[i], mesh.nodes[j]
@@ -451,14 +450,7 @@ def estimate_log_holder(
     if not np.any(keep):
         raise ValueError("no sample pairs with |x-y| < 1/2; refine the mesh")
     fi, fj = field(xi[keep]), field(xj[keep])
-    c_local = float(np.max(np.abs(fi - fj) * np.abs(np.log(dist[keep]))))
-    if not fit_decay:
-        return c_local
-    radii = np.sqrt(np.sum(mesh.nodes**2, axis=1))
-    vals = field(mesh.nodes)
-    g_inf = float(vals[np.argmax(radii)])
-    c_decay = float(np.max(np.abs(vals - g_inf) * np.log(np.e + radii)))
-    return c_local, (g_inf, c_decay)
+    return float(np.max(np.abs(fi - fj) * np.abs(np.log(dist[keep]))))
 
 
 def check_A1_sufficient(

@@ -170,6 +170,32 @@ def _luxemburg_root(terms: _PowerSum, tol: float) -> tuple[float, int]:
     )
 
 
+def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.ndarray:
+    """Gradient Luxemburg norms of the free-node hat functions, in node order.
+
+    A hat's gradient is its local basis gradient on each element of its
+    patch and zero elsewhere, so its power sum is built from the patch alone:
+    the same terms, in the same order, as the full-mesh function would give,
+    at a total cost linear in the mesh size.
+    """
+    p, q, mu, w = _phase_at_quadrature(phase, mesh, order)
+    wmu = w * mu
+    # |grad phi| of each (element, local vertex), as gradient_norms() gives it
+    s = np.sqrt(np.sum(mesh.basis_gradients**2, axis=2))
+    nv = mesh.elements.shape[1]
+    flat = mesh.elements.ravel()
+    by_node = np.argsort(flat, kind="stable")  # ascending element within each node
+    counts = np.bincount(flat, minlength=mesh.num_nodes)
+    ends = np.cumsum(counts)
+    norms = np.empty(mesh.free_nodes.size)
+    for k, i in enumerate(mesh.free_nodes):
+        e, v = np.divmod(by_node[ends[i] - counts[i] : ends[i]], nv)
+        grads = s[e, v][:, None]
+        terms = _concat([_part_terms(grads, p[e], w[e]), _part_terms(grads, q[e], wmu[e])])
+        norms[k] = _luxemburg_root(terms, tol)[0]
+    return norms
+
+
 # --------------------------------------------------------------------------
 # public modular / norm API
 

@@ -5,26 +5,28 @@ residual is paired with the regularized Jacobian and a backtracking line
 search on 1/2 ||residual||^2.  ``solve_convection`` handles
 A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
 relaxes the update, and halves the relaxation whenever the outer residual
-increases.  Existence requires the coercivity margin of the declared growth
-constants to be positive; that margin is checked before any iteration runs.
+increases.  The outer residual is a dual-norm residual over the nodal hats;
+the hats' gradient Luxemburg norms are built from their element patches,
+once per Picard solve.  Existence requires the coercivity margin of the
+declared growth constants to be positive; that margin is checked before any
+iteration runs.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import NumericError, PreconditionError
 from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh
-from .fields import ConditionCheck, ConditionReport, DoublePhase, ScalarField, field_bounds
-from .modular import luxemburg_norm
+from .fields import ConditionReport, DoublePhase, ScalarField, _extremum_check, field_bounds
+from .modular import _hat_norms, luxemburg_norm
 from .eigen import coercivity_margin, first_eigenvalue, uniqueness_margin
 from .operator import (
     DEFAULT_EPS_REG,
+    assemble_jacobian,
     assemble_load,
     assemble_residual,
     _operator_residual_full,
@@ -177,7 +179,7 @@ def solve_monotone(
     free = mesh.free_nodes
     history = []
     merit = []
-    asm = assemble_residual(u, phase, load, opts.order, with_jacobian=False)
+    asm = assemble_residual(u, phase, load, opts.order)
     res_norm = asm.residual_norm
     history.append(res_norm)
     merit.append(0.5 * float(asm.residual @ asm.residual))
@@ -186,9 +188,7 @@ def solve_monotone(
             return SolveReport(
                 u, True, res_norm, it, history=history, energy_history=merit
             )
-        jac = assemble_residual(
-            u, phase, load, opts.order, with_jacobian=True, eps_reg=opts.eps_reg
-        ).jacobian
+        jac = assemble_jacobian(u, phase, opts.order, opts.eps_reg)
         try:
             delta = spla.spsolve(jac.tocsc(), -asm.residual)
         except RuntimeError as exc:  # singular factorization
@@ -250,27 +250,6 @@ def _term_load(
     return assemble_load(mesh, fv, order)
 
 
-_HAT_NORM_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _hat_norms(
-    mesh: Mesh, phase: DoublePhase, order: int, norm_tol: float
-) -> np.ndarray:
-    """Gradient Luxemburg norms of the free-node hat functions, cached."""
-    entries = _HAT_NORM_CACHE.setdefault(mesh, [])
-    for ref, cached_order, cached_tol, norms in entries:
-        if ref() is phase and cached_order == order and cached_tol == norm_tol:
-            return norms
-    norms = np.empty(mesh.free_nodes.size)
-    for k, i in enumerate(mesh.free_nodes):
-        hat = np.zeros(mesh.num_nodes)
-        hat[i] = 1.0
-        v = DiscreteFunction(mesh, hat, zero_boundary=True)
-        norms[k] = luxemburg_norm(v, phase, "gradient", norm_tol, order)
-    entries.append((weakref.ref(phase), order, norm_tol, norms))
-    return norms
-
-
 def weak_residual(
     u: DiscreteFunction,
     term,
@@ -281,17 +260,25 @@ def weak_residual(
     """Normalized dual-norm residual of A(u) = f over the free nodal hats.
 
     Returns max_i |<A(u), phi_i> - int f phi_i| / (1 + ||phi_i||) with the
-    gradient Luxemburg norm of the hats; ``term`` may be a ConvectionTerm,
-    a callable over points, a load vector, or None.
+    gradient Luxemburg norm of the hats, built from each hat's element patch
+    on every call; ``term`` may be a ConvectionTerm, a callable over points,
+    a load vector, or None.
     """
+    norms = _hat_norms(u.mesh, phase, norm_tol, order)
+    return _dual_residual(u, term, phase, order, norms)
+
+
+def _dual_residual(
+    u: DiscreteFunction, term, phase: DoublePhase, order: int, hat_norms: np.ndarray
+) -> float:
+    """:func:`weak_residual` with the hat norms already computed."""
     mesh = u.mesh
     if isinstance(term, ConvectionTerm):
         load = _term_load(term, u, order)
     else:
         load = _as_load(mesh, term, order)
     res = (_operator_residual_full(u, phase, order) - load)[mesh.free_nodes]
-    norms = _hat_norms(mesh, phase, order, norm_tol)
-    return float(np.max(np.abs(res) / (1.0 + norms), initial=0.0))
+    return float(np.max(np.abs(res) / (1.0 + hat_norms), initial=0.0))
 
 
 def solve_convection(
@@ -329,7 +316,8 @@ def solve_convection(
     else:
         u = initial.zero_on_boundary() if not initial.zero_boundary else initial
     theta = opts.theta
-    prev_res = weak_residual(u, term, phase, opts.order, opts.norm_tol)
+    hat_norms = _hat_norms(mesh, phase, opts.norm_tol, opts.order)
+    prev_res = _dual_residual(u, term, phase, opts.order, hat_norms)
     history = [prev_res]
     for it in range(1, opts.max_outer + 1):
         load = _term_load(term, u, opts.order)
@@ -338,7 +326,7 @@ def solve_convection(
         while True:
             vals = (1.0 - theta) * u.values + theta * inner.u.values
             unew = DiscreteFunction(mesh, vals, zero_boundary=True)
-            res = weak_residual(unew, term, phase, opts.order, opts.norm_tol)
+            res = _dual_residual(unew, term, phase, opts.order, hat_norms)
             if res <= prev_res or res <= opts.weak_tol:
                 break
             theta *= 0.5
@@ -392,47 +380,23 @@ def check_growth(
 
     N = phase.dim
     crit = np.where(p < N, N * p / np.maximum(N - p, 1e-300), np.inf)
-    kr = int(np.argmin(crit - rv))
-    report.checks.append(
-        ConditionCheck(
-            "r < p*",
-            bool(np.all(rv < crit)),
-            float((crit - rv)[kr]),
-            None if np.all(rv < crit) else {"point": x[kr].tolist()},
-        )
-    )
+    report.checks.append(_extremum_check("r < p*", crit - rv, x))
 
     bound_i = (
         term.a1 * nxi ** (p * (rv - 1.0) / rv)
         + term.a2 * np.abs(s) ** (rv - 1.0)
         + term.alpha(x)
     )
-    slack_i = bound_i - np.abs(f)
-    ki = int(np.argmin(slack_i))
     report.checks.append(
-        ConditionCheck(
-            "growth bound on |f|",
-            bool(slack_i[ki] >= 0.0),
-            float(slack_i[ki]),
-            None
-            if slack_i[ki] >= 0.0
-            else {"point": x[ki].tolist(), "s": float(s[ki]), "xi": xi[ki].tolist()},
+        _extremum_check(
+            "growth bound on |f|", bound_i - np.abs(f), x, strict=False, s=s, xi=xi
         )
     )
 
     p_minus, _ = field_bounds(phase.p, mesh, order)
     bound_ii = term.b1 * nxi**p + term.b2 * np.abs(s) ** p_minus + term.omega(x)
-    slack_ii = bound_ii - f * s
-    kii = int(np.argmin(slack_ii))
     report.checks.append(
-        ConditionCheck(
-            "sign bound on f*s",
-            bool(slack_ii[kii] >= 0.0),
-            float(slack_ii[kii]),
-            None
-            if slack_ii[kii] >= 0.0
-            else {"point": x[kii].tolist(), "s": float(s[kii]), "xi": xi[kii].tolist()},
-        )
+        _extremum_check("sign bound on f*s", bound_ii - f * s, x, strict=False, s=s, xi=xi)
     )
     return report
 
@@ -526,40 +490,21 @@ def _sample_uniqueness_structure(
     report = ConditionReport("uniqueness-structure")
 
     slack1 = term.c1 * (s - t) ** 2 - (term(x, s, xi1) - term(x, t, xi1)) * (s - t)
-    k1 = int(np.argmin(slack1))
     report.checks.append(
-        ConditionCheck(
-            "one-sided Lipschitz in s",
-            bool(slack1[k1] >= -1e-12),
-            float(slack1[k1]),
-            None if slack1[k1] >= -1e-12 else {"point": x[k1].tolist()},
-        )
+        _extremum_check("one-sided Lipschitz in s", slack1, x, strict=False, floor=-1e-12)
     )
 
     rho = term.rho(x)
     lin_lhs = term(x, s, a[:, None] * xi1 + b[:, None] * xi2) - rho
     lin_rhs = a * (term(x, s, xi1) - rho) + b * (term(x, s, xi2) - rho)
-    dev = np.abs(lin_lhs - lin_rhs)
-    scale = 1.0 + np.abs(lin_rhs)
-    k2 = int(np.argmax(dev / scale))
+    rel_dev = np.abs(lin_lhs - lin_rhs) / (1.0 + np.abs(lin_rhs))
     report.checks.append(
-        ConditionCheck(
-            "linearity in xi",
-            bool(np.all(dev <= 1e-10 * scale)),
-            float(-(dev / scale)[k2]),
-            None if np.all(dev <= 1e-10 * scale) else {"point": x[k2].tolist()},
-        )
+        _extremum_check("linearity in xi", -rel_dev, x, strict=False, floor=-1e-10)
     )
 
     nxi = np.sqrt(np.sum(xi1**2, axis=1))
     slack3 = term.c2 * nxi - np.abs(term(x, s, xi1) - rho)
-    k3 = int(np.argmin(slack3))
     report.checks.append(
-        ConditionCheck(
-            "|f - rho| <= c2 |xi|",
-            bool(slack3[k3] >= -1e-12),
-            float(slack3[k3]),
-            None if slack3[k3] >= -1e-12 else {"point": x[k3].tolist()},
-        )
+        _extremum_check("|f - rho| <= c2 |xi|", slack3, x, strict=False, floor=-1e-12)
     )
     return report

@@ -61,6 +61,17 @@ def test_mesh_rejects_negative_orientation():
         Mesh(nodes, [[1, 0]], [0, 1])
 
 
+def test_scatter_sums_element_matrices(square_mesh):
+    nv = square_mesh.elements.shape[1]
+    local = np.ones((square_mesh.num_elements, nv, nv))
+    K = square_mesh.scatter(local).toarray()
+    # entry (i, j) counts the elements holding both vertices
+    counts = np.zeros((square_mesh.num_nodes, square_mesh.num_nodes))
+    for elem in square_mesh.elements:
+        counts[np.ix_(elem, elem)] += 1.0
+    assert np.array_equal(K, counts)
+
+
 def test_mesh_edges_unique_and_sorted(square_mesh):
     e = square_mesh.edges()
     assert np.all(e[:, 0] < e[:, 1])

@@ -230,6 +230,10 @@ def test_growth_check_flags_violations(interval_mesh):
     assert not rep.passed
     bad = rep.check("growth bound on |f|")
     assert not bad.passed and bad.witness is not None
+    # the witness names the worst sample: its point, value s and gradient xi
+    assert list(bad.witness) == ["point", "s", "xi"]
+    assert isinstance(bad.witness["s"], float)
+    assert len(bad.witness["xi"]) == interval_mesh.dim
 
 
 def test_growth_check_admissibility_of_r(interval_mesh):
