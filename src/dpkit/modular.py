@@ -12,6 +12,14 @@ increasing convex map t -> rho(t u), which is solved by bracketed bisection
 with Newton acceleration: the bracket comes from the norm-modular sandwich,
 bisection guarantees convergence, Newton steps inside the bracket give the
 usual quadratic tail.
+
+Hat-function norms (the dual-norm diagnostics) need one such root per free
+node.  ``_luxemburg_roots`` runs the same root-find on a block of equal-length
+power sums at once and is bit-for-bit equal to the scalar ``_luxemburg_root``
+on every row: its row sums, row dot products and powers are taken in the
+scalar order (``C.sum(axis=1)``, stacked ``matmul``, ``power`` of the row's
+t), and its bracket start uses Python float powers, as the scalar root does.
+Single-function norms keep the scalar root, which is cheaper for one sum.
 """
 
 from __future__ import annotations
@@ -170,12 +178,97 @@ def _luxemburg_root(terms: _PowerSum, tol: float) -> tuple[float, int]:
     )
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products, each summed as the 1-D ``a[i] @ b[i]`` sums it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _luxemburg_roots(
+    coefs: np.ndarray, expos: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_luxemburg_root` for every row of equal-length power sums.
+
+    Row i is rho_i(t) = coefs[i] . t**expos[i]; returns (lambda, iterations)
+    arrays.  Each row takes the scalar root's steps, vectorized over the rows
+    still iterating, with every sum in the scalar order, so each row is bit
+    for bit the scalar result.  Raises the scalar root's NumericError for the
+    first failing row.
+    """
+    lam = np.zeros(coefs.shape[0])
+    its = np.zeros(coefs.shape[0], dtype=int)
+    m1 = coefs.sum(axis=1)
+    if not np.all(np.isfinite(m1)):
+        raise NumericError("modular overflow while bracketing the Luxemburg norm")
+    live = np.flatnonzero(m1 != 0.0)
+    if live.size == 0:
+        return lam, its
+    C, E, m1 = coefs[live], expos[live], m1[live]
+    e_hi = E.max(axis=1)
+    # Python float powers: numpy's vectorized power may differ in the last bit
+    m1s = m1.tolist()
+    a = np.array([m ** (1.0 / e) for m, e in zip(m1s, E.min(axis=1).tolist())])
+    b = np.array([m ** (1.0 / e) for m, e in zip(m1s, e_hi.tolist())])
+    t_lo = 1.0 / np.maximum(a, b) * (1.0 - 1e-12)
+    t_hi = 1.0 / np.minimum(a, b) * (1.0 + 1e-12)
+
+    def value(sel: np.ndarray, t: np.ndarray) -> np.ndarray:
+        out = m1[sel]  # _PowerSum.value(1.0) is the plain sum
+        other = t != 1.0
+        out[other] = _row_dots(C[sel[other]], np.power(t[other, None], E[sel[other]]))
+        return out
+
+    for t_end, factor, holds in ((t_lo, 0.5, np.less_equal), (t_hi, 2.0, np.greater_equal)):
+        sel = np.arange(live.size)
+        for _ in range(64):
+            sel = sel[~holds(value(sel, t_end[sel]) - 1.0, 0.0)]
+            if sel.size == 0:
+                break
+            t_end[sel] *= factor
+    CE = C * E
+    target = tol * e_hi
+    t = t_hi.copy()
+    for it in range(1, 301):
+        powv = np.power(t[:, None], E)
+        h = _row_dots(C, powv) - 1.0
+        done = np.abs(h) <= target * np.minimum(t, 1.0)
+        above = h > 0.0
+        t_hi = np.where(above, t, t_hi)
+        t_lo = np.where(above, t_lo, t)
+        slope = _row_dots(CE, powv) / t
+        mid = 0.5 * (t_lo + t_hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = np.where(slope > 0.0, t - h / slope, mid)
+        t_new = np.where((t_lo < t_new) & (t_new < t_hi), t_new, mid)
+        done |= t_new == t  # bracket exhausted: t is exact to machine precision
+        lam[live[done]] = 1.0 / t[done]
+        its[live[done]] = it
+        if done.any():
+            go = ~done
+            live, C, E, CE, target = live[go], C[go], E[go], CE[go], target[go]
+            t_lo, t_hi, t_new = t_lo[go], t_hi[go], t_new[go]
+            if live.size == 0:
+                return lam, its
+        t = t_new
+    raise NumericError(
+        "Luxemburg norm did not reach the modular tolerance "
+        f"(bracket [{1.0 / float(t_hi[0])}, {1.0 / float(t_lo[0])}], "
+        f"residual target {float(target[0]) * min(float(t[0]), 1.0)})"
+    )
+
+
+# Hats per batched root: bounds the term arrays, so peak memory stays flat.
+_HAT_BLOCK = 256
+
+
 def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.ndarray:
     """Gradient Luxemburg norms of the free-node hat functions, in node order.
 
     A hat's gradient is its local basis gradient on each element of its
     patch and zero elsewhere, so its power sum is built from the patch alone:
-    the same terms, in the same order, as the full-mesh function would give,
+    the same terms, in the same order, as the full-mesh function would give
+    (p-terms, then q-terms, by ascending element, zero weights dropped).  The
+    hats go through :func:`_luxemburg_roots` in blocks of ``_HAT_BLOCK``,
+    grouped by term count, so the norms equal the scalar root's bit for bit
     at a total cost linear in the mesh size.
     """
     p, q, mu, w = _phase_at_quadrature(phase, mesh, order)
@@ -186,13 +279,34 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
     flat = mesh.elements.ravel()
     by_node = np.argsort(flat, kind="stable")  # ascending element within each node
     counts = np.bincount(flat, minlength=mesh.num_nodes)
-    ends = np.cumsum(counts)
-    norms = np.empty(mesh.free_nodes.size)
-    for k, i in enumerate(mesh.free_nodes):
-        e, v = np.divmod(by_node[ends[i] - counts[i] : ends[i]], nv)
+    starts = np.cumsum(counts) - counts
+    free = mesh.free_nodes
+    norms = np.empty(free.size)
+    for lo in range(0, free.size, _HAT_BLOCK):
+        nodes = free[lo : lo + _HAT_BLOCK]
+        k = counts[nodes]
+        hat = np.repeat(np.arange(nodes.size), k)  # block hat of each patch entry
+        offset = np.arange(hat.size) - (np.cumsum(k) - k)[hat]
+        e, v = np.divmod(by_node[starts[nodes][hat] + offset], nv)
         grads = s[e, v][:, None]
-        terms = _concat([_part_terms(grads, p[e], w[e]), _part_terms(grads, q[e], wmu[e])])
-        norms[k] = _luxemburg_root(terms, tol)[0]
+        owner, coefs, expos = [], [], []
+        for expo, weight in ((p[e], w[e]), (q[e], wmu[e])):
+            keep = (weight != 0.0) & (grads != 0.0)
+            g = np.broadcast_to(grads, keep.shape)[keep]
+            coefs.append(weight[keep] * np.power(g, expo[keep]))
+            expos.append(expo[keep])
+            owner.append(np.broadcast_to(hat[:, None], keep.shape)[keep])
+        owner = np.concatenate(owner)
+        by_hat = np.argsort(owner, kind="stable")  # p-terms, then q-terms, of each hat
+        coefs = np.concatenate(coefs)[by_hat]
+        expos = np.concatenate(expos)[by_hat]
+        n_terms = np.bincount(owner, minlength=nodes.size)
+        first = np.cumsum(n_terms) - n_terms
+        block = norms[lo : lo + nodes.size]
+        for n in np.unique(n_terms):
+            rows = np.flatnonzero(n_terms == n)
+            idx = first[rows, None] + np.arange(n)
+            block[rows] = _luxemburg_roots(coefs[idx], expos[idx], tol)[0]
     return norms
 
 

@@ -6,10 +6,11 @@ search on 1/2 ||residual||^2.  ``solve_convection`` handles
 A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
 relaxes the update, and halves the relaxation whenever the outer residual
 increases.  The outer residual is a dual-norm residual over the nodal hats;
-the hats' gradient Luxemburg norms are built from their element patches,
-once per Picard solve.  Existence requires the coercivity margin of the
-declared growth constants to be positive; that margin is checked before any
-iteration runs.
+the hats' gradient Luxemburg norms are built from their element patches in
+one batched root-find, once per Picard solve, and returned on the report so
+a caller re-checking the residual at the returned iterate need not rebuild
+them.  Existence requires the coercivity margin of the declared growth
+constants to be positive; that margin is checked before any iteration runs.
 """
 
 from __future__ import annotations
@@ -132,7 +133,10 @@ class SolveReport:
 
     ``history`` holds the stopping-norm trajectory (residual max-norm for
     Newton, weak residual for Picard); ``energy_history`` holds the Newton
-    line-search merit 1/2 ||residual||_2^2 per accepted iterate.
+    line-search merit 1/2 ||residual||_2^2 per accepted iterate.  A Picard
+    solve also returns ``hat_norms``, the free-node hats' gradient Luxemburg
+    norms its dual residual is scaled by; they depend on the mesh and phase
+    only.
     """
 
     u: DiscreteFunction
@@ -144,6 +148,7 @@ class SolveReport:
     eigenvalue: float | None = None
     history: list = field(default_factory=list)
     energy_history: list = field(default_factory=list)
+    hat_norms: np.ndarray | None = None
 
 
 def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
@@ -261,8 +266,8 @@ def weak_residual(
 
     Returns max_i |<A(u), phi_i> - int f phi_i| / (1 + ||phi_i||) with the
     gradient Luxemburg norm of the hats, built from each hat's element patch
-    on every call; ``term`` may be a ConvectionTerm, a callable over points,
-    a load vector, or None.
+    and solved for all hats in one batched root-find on every call; ``term``
+    may be a ConvectionTerm, a callable over points, a load vector, or None.
     """
     norms = _hat_norms(u.mesh, phase, norm_tol, order)
     return _dual_residual(u, term, phase, order, norms)
@@ -340,7 +345,8 @@ def solve_convection(
         history.append(res)
         if step <= opts.outer_tol and res <= opts.weak_tol:
             return SolveReport(
-                u, True, res, newton_total, it, margin, eigenvalue, history
+                u, True, res, newton_total, it, margin, eigenvalue, history,
+                hat_norms=hat_norms,
             )
     raise NumericError(
         f"Picard iteration did not converge in {opts.max_outer} outer steps "

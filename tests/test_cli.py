@@ -157,6 +157,40 @@ def test_solve_rhs_expression_with_vtk(tmp_path):
     assert rep["residual_recomputed"] == pytest.approx(rep["residual"], rel=1e-14, abs=1e-300)
 
 
+def test_solve_convection_builds_hat_norms_once(tmp_path, monkeypatch):
+    import dpkit.solve
+
+    calls = []
+    original = dpkit.solve._hat_norms
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dpkit.solve, "_hat_norms", counting)
+    # f = 1 + 0.2 xi satisfies |f| <= 1 + 0.2 |xi| and, by Young's
+    # inequality, f s <= 0.1 |xi|^2 + 0.35 s^2 + 1
+    cfgpath = write_config(
+        tmp_path,
+        problem={
+            "kind": "term",
+            "expr": "1 + 0.2 * xi1",
+            "r": 2.0,
+            "a1": 0.2,
+            "a2": 0.0,
+            "alpha": 1.0,
+            "b1": 0.1,
+            "b2": 0.35,
+            "omega": 1.0,
+        },
+    )
+    assert main(["solve", str(cfgpath), "--no-timestamp"]) == 0
+    assert len(calls) == 1
+    rep = read_report(tmp_path)
+    assert rep["converged"] is True
+    assert rep["residual_recomputed"] == rep["residual"]
+
+
 def test_solve_without_problem_exits_two(tmp_path):
     cfgpath = write_config(tmp_path)
     assert main(["solve", str(cfgpath)]) == 2
