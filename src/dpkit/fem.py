@@ -5,9 +5,15 @@ rectangles.  Everything downstream (modulars, operator assembly, solvers)
 works through the small surface defined here: physical quadrature points
 with weights, per-element basis gradients, and piecewise-linear nodal
 functions with cached element gradients.
+
+Quadrature data has one owner: reference rules and their P1 basis are built
+once per (dimension, order), physical points and weights once per mesh and
+order, and every cached array is read-only, so an in-place edit raises.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,20 +25,25 @@ MAX_QUAD_ORDER = 8
 DEFAULT_QUAD_ORDER = 4
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only (it is cached and shared) and return it."""
+    a.setflags(write=False)
+    return a
+
+
 class Quadrature:
     """A quadrature rule on the reference element (unit interval or triangle).
 
     ``points`` has shape (nq, dim) in reference coordinates and ``weights``
     sums to the reference measure (1 for the interval, 1/2 for the triangle).
+    ``basis`` (nq, dim + 1) holds the P1 basis at the points.  All are read-only.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray, order: int):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.weights = np.asarray(weights, dtype=float)
+        self.points = _frozen(np.array(points, dtype=float, ndmin=2))
+        self.weights = _frozen(np.array(weights, dtype=float))
+        self.basis = _frozen(reference_basis(self.points.shape[1], self.points))
         self.order = int(order)
-
-    def __len__(self) -> int:
-        return self.weights.size
 
 
 def _check_order(order: int) -> int:
@@ -44,6 +55,7 @@ def _check_order(order: int) -> int:
     return order
 
 
+@functools.cache
 def gauss_interval(order: int) -> Quadrature:
     """Gauss-Legendre rule on [0, 1], exact for polynomials of degree <= order."""
     order = _check_order(order)
@@ -52,6 +64,7 @@ def gauss_interval(order: int) -> Quadrature:
     return Quadrature((x[:, None] + 1.0) / 2.0, w / 2.0, order)
 
 
+@functools.cache
 def gauss_triangle(order: int) -> Quadrature:
     """Tensor Gauss rule mapped to the reference triangle.
 
@@ -113,6 +126,7 @@ class Mesh:
         self._init_geometry()
         self._quad_cache: dict[int, tuple] = {}
         self._field_bounds: dict = {}  # (field, order) -> (min, max), see fields.field_bounds
+        self._phase_samples: dict = {}  # order -> (fields, samples): DoublePhase.at_quadrature
 
     @property
     def num_nodes(self) -> int:
@@ -157,23 +171,27 @@ class Mesh:
 
         Returns ``(points, weights, rule)`` where ``points`` has shape
         (nelems, nq, dim) and ``weights`` (nelems, nq) already include the
-        element measure, so plain sums integrate over the whole mesh.
+        element measure, so plain sums integrate over the whole mesh.  Both
+        arrays are built once per order and are read-only.
         """
         order = _check_order(order)
         if order not in self._quad_cache:
             rule = self.reference_rule(order)
-            basis = reference_basis(self.dim, rule.points)  # (nq, dim + 1)
             verts = self.nodes[self.elements]
-            pts = np.einsum("qv,evd->eqd", basis, verts)
+            pts = np.einsum("qv,evd->eqd", rule.basis, verts)
             scale = self.measures / rule.weights.sum()
             w = scale[:, None] * rule.weights[None, :]
-            self._quad_cache[order] = (pts, w, rule)
+            self._quad_cache[order] = (_frozen(pts), _frozen(w), rule)
         return self._quad_cache[order]
 
     def basis_at(self, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
         """P1 basis values at the reference quadrature points, (nq, dim + 1)."""
-        rule = self.reference_rule(order)
-        return reference_basis(self.dim, rule.points)
+        return self.reference_rule(order).basis
+
+    def sample(self, fn, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
+        """``fn(points) -> values`` at the quadrature points, shape (nelems, nq)."""
+        pts, w, _ = self.quadrature_points(order)
+        return np.asarray(fn(pts.reshape(-1, self.dim)), dtype=float).reshape(w.shape)
 
     def scatter(self, local: np.ndarray) -> sp.csr_matrix:
         """Sum per-element matrices (nelems, nv, nv) into a global CSR matrix."""
@@ -183,6 +201,10 @@ class Mesh:
         return sp.coo_matrix(
             (local.ravel(), (rows, cols)), shape=(self.num_nodes, self.num_nodes)
         ).tocsr()
+
+    def scatter_vector(self, local: np.ndarray) -> np.ndarray:
+        """Sum per-element vectors (nelems, nv) into a nodal vector, in element order."""
+        return np.bincount(self.elements.ravel(), np.ravel(local), self.num_nodes)
 
     def edges(self) -> np.ndarray:
         """Unique vertex pairs connected by an element edge, shape (nedges, 2)."""
@@ -322,13 +344,18 @@ def interpolate(mesh: Mesh, fn, zero_boundary: bool = False) -> DiscreteFunction
 
 def integrate(mesh: Mesh, fn, order: int = DEFAULT_QUAD_ORDER) -> float:
     """Integrate ``fn(points) -> values`` over the mesh by Gauss quadrature."""
-    pts, w, _ = mesh.quadrature_points(order)
-    vals = np.asarray(fn(pts.reshape(-1, mesh.dim)), dtype=float).reshape(w.shape)
-    return integrate_samples(mesh, vals, order)
+    return integrate_samples(mesh, mesh.sample(fn, order), order)
 
 
 def integrate_samples(mesh: Mesh, values: np.ndarray, order: int = DEFAULT_QUAD_ORDER) -> float:
     """Integrate values already sampled at the quadrature points of ``order``."""
+    _, w, _ = mesh.quadrature_points(order)
+    return float(np.sum(w * _checked_samples(mesh, values, order)))
+
+
+def _checked_samples(mesh: Mesh, values, order: int) -> np.ndarray:
+    """``values`` as float samples (nelems, nq): ValueError on a wrong shape,
+    NumericError naming the first element with a non-finite sample."""
     _, w, _ = mesh.quadrature_points(order)
     values = np.asarray(values, dtype=float)
     if values.shape != w.shape:
@@ -336,4 +363,4 @@ def integrate_samples(mesh: Mesh, values: np.ndarray, order: int = DEFAULT_QUAD_
     if not np.all(np.isfinite(values)):
         bad = int(np.argwhere(~np.isfinite(values))[0][0])
         raise NumericError(f"non-finite integrand on element {bad}")
-    return float(np.sum(w * values))
+    return values

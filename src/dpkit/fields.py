@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DEFAULT_QUAD_ORDER, Mesh
+from .fem import DEFAULT_QUAD_ORDER, Mesh, _frozen
 
 __all__ = [
     "ScalarField",
@@ -164,6 +164,20 @@ class DoublePhase:
             np.asarray(self.q(flat)).reshape(shape),
             np.asarray(self.mu(flat)).reshape(shape),
         )
+
+    def at_quadrature(self, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER):
+        """Read-only (p, q, mu, w) at the quadrature points, shape (nelems, nq).
+
+        The mesh keeps the latest samples per order, keyed by the three field
+        objects: reassigning a field (say ``phase.mu``) misses the cache, and
+        many phases on one mesh do not pile up samples.
+        """
+        key = (self.p, self.q, self.mu)
+        cached = mesh._phase_samples.get(order)
+        if cached is None or cached[0] != key:
+            pts, w, _ = mesh.quadrature_points(order)
+            cached = mesh._phase_samples[order] = (key, (*map(_frozen, self.at(pts)), w))
+        return cached[1]
 
     def h_at(self, points, t):
         """The integrand H(x, t) = t^p(x) + mu(x) t^q(x) for t >= 0."""
@@ -331,9 +345,9 @@ def check_condition_base(
     report.checks.append(_extremum_check("p < N", N - p, pts))
     report.checks.append(_extremum_check("p < q", q - p, pts))
     report.checks.append(_extremum_check("mu >= 0", mu, pts, strict=False))
-    qpts, w, _ = mesh.quadrature_points(order)
-    mu_q = phase.mu(qpts.reshape(-1, mesh.dim))
-    report.checks.append(_finite_check("mu integrable", np.sum(w.reshape(-1) * mu_q)))
+    _, w, _ = mesh.quadrature_points(order)
+    mu_q = mesh.sample(phase.mu, order)
+    report.checks.append(_finite_check("mu integrable", np.sum(w * mu_q)))
     return report
 
 

@@ -1,4 +1,4 @@
-"""File exchange: mesh CSV triplets, solution CSV, legacy VTK, COO matrices.
+"""File exchange: mesh CSV triplets, solution CSV and legacy VTK.
 
 All floats are written with 17 significant digits so that a load/dump round
 trip is bit-exact and reruns produce byte-identical artifacts.
@@ -10,7 +10,6 @@ import csv
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import DiscreteFunction, Mesh
 
@@ -20,7 +19,6 @@ __all__ = [
     "save_solution",
     "load_solution",
     "save_vtk",
-    "save_coo",
     "load_node_table",
 ]
 
@@ -146,11 +144,3 @@ def save_vtk(path, u: DiscreteFunction, name: str = "u") -> None:
         for v in u.values:
             fh.write(_fmt(v) + "\n")
 
-
-def save_coo(path, matrix) -> None:
-    """Write a sparse matrix as ``row col value`` lines (sorted by row, col)."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {_fmt(coo.data[k])}\n")

@@ -79,12 +79,6 @@ class _PowerSum:
         return float(self.coefs @ np.power(t, self.expos))
 
 
-def _phase_at_quadrature(phase: DoublePhase, mesh: Mesh, order: int):
-    pts, w, _ = mesh.quadrature_points(order)
-    p, q, mu = phase.at(pts)
-    return p, q, mu, w
-
-
 def _part_terms(samples: np.ndarray, expo: np.ndarray, weight: np.ndarray) -> _PowerSum:
     """Terms weight * samples**expo with zero-coefficient entries dropped."""
     s = np.broadcast_to(samples, expo.shape).reshape(-1)
@@ -106,7 +100,7 @@ def _collect_terms(
     u: DiscreteFunction, phase: DoublePhase, order: int, which: str
 ) -> _PowerSum:
     mesh = u.mesh
-    p, q, mu, w = _phase_at_quadrature(phase, mesh, order)
+    p, q, mu, w = phase.at_quadrature(mesh, order)
     parts = []
     if which in ("value", "sobolev"):
         vals = np.abs(u.values_at(order))
@@ -271,7 +265,7 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
     grouped by term count, so the norms equal the scalar root's bit for bit
     at a total cost linear in the mesh size.
     """
-    p, q, mu, w = _phase_at_quadrature(phase, mesh, order)
+    p, q, mu, w = phase.at_quadrature(mesh, order)
     wmu = w * mu
     # |grad phi| of each (element, local vertex), as gradient_norms() gives it
     s = np.sqrt(np.sum(mesh.basis_gradients**2, axis=2))
@@ -335,7 +329,7 @@ def modular(
     """rho_H of u (``on="value"``) or of |grad u| (``on="gradient"``)."""
     if on not in ("value", "gradient"):
         raise ValueError(f"'on' must be 'value' or 'gradient', got {on!r}")
-    p, q, mu, w = _phase_at_quadrature(phase, u.mesh, order)
+    p, q, mu, w = phase.at_quadrature(u.mesh, order)
     if on == "value":
         s = np.abs(u.values_at(order))
     else:
@@ -577,7 +571,7 @@ def reverse_holder_check(
     gv = np.abs(g.values_at(order))
     if np.any(gv == 0.0):
         raise ValueError("g must be nonzero at every quadrature sample")
-    rv = r(f.mesh.quadrature_points(order)[0].reshape(-1, f.mesh.dim)).reshape(w.shape)
+    rv = f.mesh.sample(r, order)
     r_lo, r_hi = float(rv.min()), float(rv.max())
     if r_lo <= 1.0:
         raise ValueError(f"reverse Hölder requires r > 1, got minimum {r_lo}")

@@ -11,6 +11,11 @@ so degenerate elements contribute nothing even for p < 2.
 
 Jacobians regularize only the power weights, replacing s by
 sqrt(s^2 + eps_reg^2); the residual itself is never regularized.
+
+Every assembly reads its weights and (p, q, mu) samples through
+:meth:`DoublePhase.at_quadrature`, which reuses them while the mesh, the
+fields and the order stay the same, and sums element contributions with
+:meth:`Mesh.scatter` (Jacobian) or :meth:`Mesh.scatter_vector` (residual, load).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh
+from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh, _checked_samples
 from .fields import DoublePhase, field_bounds
 from .modular import DEFAULT_NORM_TOL, _hat_norms, luxemburg_norm
 
@@ -29,9 +34,7 @@ __all__ = [
     "SimonResult",
     "DualBoundResult",
     "energy",
-    "energy_with_mass",
     "apply_operator",
-    "apply_operator_with_mass",
     "assemble_load",
     "assemble_residual",
     "assemble_jacobian",
@@ -56,8 +59,7 @@ def _power0(s: np.ndarray, expo: np.ndarray) -> np.ndarray:
 
 def _flux_coefficients(u: DiscreteFunction, phase: DoublePhase, order: int) -> np.ndarray:
     """Per-element quadrature sum of the power weight, shape (nelems,)."""
-    pts, w, _ = u.mesh.quadrature_points(order)
-    p, q, mu = phase.at(pts)
+    p, q, mu, w = phase.at_quadrature(u.mesh, order)
     s = u.gradient_norms()[:, None]
     weight = _power0(s, p - 2.0) + mu * _power0(s, q - 2.0)
     return np.sum(w * weight, axis=1)
@@ -65,21 +67,9 @@ def _flux_coefficients(u: DiscreteFunction, phase: DoublePhase, order: int) -> n
 
 def energy(u: DiscreteFunction, phase: DoublePhase, order: int = DEFAULT_QUAD_ORDER) -> float:
     """The double-phase energy int( |grad u|^p / p + mu |grad u|^q / q ) dx."""
-    pts, w, _ = u.mesh.quadrature_points(order)
-    p, q, mu = phase.at(pts)
+    p, q, mu, w = phase.at_quadrature(u.mesh, order)
     s = u.gradient_norms()[:, None]
     return float(np.sum(w * (_power0(s, p) / p + mu * _power0(s, q) / q)))
-
-
-def energy_with_mass(
-    u: DiscreteFunction, phase: DoublePhase, order: int = DEFAULT_QUAD_ORDER
-) -> float:
-    """Energy including the lower-order terms int( |u|^p / p + mu |u|^q / q )."""
-    pts, w, _ = u.mesh.quadrature_points(order)
-    p, q, mu = phase.at(pts)
-    v = np.abs(u.values_at(order))
-    lower = float(np.sum(w * (_power0(v, p) / p + mu * _power0(v, q) / q)))
-    return energy(u, phase, order) + lower
 
 
 def apply_operator(
@@ -95,44 +85,17 @@ def apply_operator(
     return float(np.sum(c * np.sum(u.gradients * v.gradients, axis=1)))
 
 
-def apply_operator_with_mass(
-    u: DiscreteFunction,
-    v: DiscreteFunction,
-    phase: DoublePhase,
-    order: int = DEFAULT_QUAD_ORDER,
-) -> float:
-    """Pairing of the operator extended by the lower-order terms.
-
-    Adds int ( |u|^{p-2} u + mu |u|^{q-2} u ) v dx to <A(u), v>.
-    """
-    if v.mesh is not u.mesh:
-        raise ValueError("u and v must live on the same mesh")
-    pts, w, _ = u.mesh.quadrature_points(order)
-    p, q, mu = phase.at(pts)
-    uv = u.values_at(order)
-    au = np.abs(uv)
-    lower = (_power0(au, p - 2.0) + mu * _power0(au, q - 2.0)) * uv
-    return apply_operator(u, v, phase, order) + float(np.sum(w * lower * v.values_at(order)))
-
-
 def assemble_load(mesh: Mesh, f, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
     """Load vector l_i = int f phi_i dx over all nodes.
 
     ``f`` is a callable over points or an array of quadrature samples with
-    shape (nelems, nq).
+    shape (nelems, nq).  A non-finite sample raises NumericError naming the
+    first element that holds one.
     """
-    pts, w, _ = mesh.quadrature_points(order)
-    if callable(f):
-        fv = np.asarray(f(pts.reshape(-1, mesh.dim)), dtype=float).reshape(w.shape)
-    else:
-        fv = np.asarray(f, dtype=float)
-        if fv.shape != w.shape:
-            raise ValueError(f"expected samples of shape {w.shape}, got {fv.shape}")
-    basis = mesh.basis_at(order)  # (nq, nverts)
-    contrib = np.einsum("eq,qv->ev", w * fv, basis)
-    load = np.zeros(mesh.num_nodes)
-    np.add.at(load, mesh.elements, contrib)
-    return load
+    _, w, _ = mesh.quadrature_points(order)
+    fv = _checked_samples(mesh, mesh.sample(f, order) if callable(f) else f, order)
+    contrib = np.einsum("eq,qv->ev", w * fv, mesh.basis_at(order))
+    return mesh.scatter_vector(contrib)
 
 
 @dataclass
@@ -152,9 +115,7 @@ def _operator_residual_full(u: DiscreteFunction, phase: DoublePhase, order: int)
     mesh = u.mesh
     c = _flux_coefficients(u, phase, order)
     edot = np.einsum("ed,evd->ev", u.gradients, mesh.basis_gradients)
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.elements, c[:, None] * edot)
-    return out
+    return mesh.scatter_vector(c[:, None] * edot)
 
 
 def assemble_residual(
@@ -195,8 +156,7 @@ def assemble_jacobian(
     if eps_reg <= 0.0:
         raise ValueError("eps_reg must be positive")
     mesh = u.mesh
-    pts, w, _ = mesh.quadrature_points(order)
-    p, q, mu = phase.at(pts)
+    p, q, mu, w = phase.at_quadrature(mesh, order)
     s = np.hypot(u.gradient_norms()[:, None], eps_reg)
     a = np.sum(w * (s ** (p - 2.0) + mu * s ** (q - 2.0)), axis=1)
     b = np.sum(w * ((p - 2.0) * s ** (p - 4.0) + mu * (q - 2.0) * s ** (q - 4.0)), axis=1)
@@ -259,6 +219,18 @@ class SimonResult:
         return bool(np.all(self.passed))
 
 
+def _unit(z: np.ndarray) -> np.ndarray:
+    """z/|z| along the last axis (0 for z = 0).
+
+    z is first divided by its largest entry, so a subnormal vector keeps its
+    direction instead of the rounding of its subnormal norm.
+    """
+    m = np.max(np.abs(z), axis=-1, keepdims=True)
+    zs = np.divide(z, m, out=np.zeros_like(z), where=m > 0.0)
+    n = np.hypot.reduce(zs, axis=-1, keepdims=True)
+    return np.divide(zs, n, out=np.zeros_like(z), where=n > 0.0)
+
+
 def simon_inequality(xi, eta, p: float, tol: float = 1e-12) -> SimonResult:
     """Vector inequalities bounding the monotonicity pairing from below.
 
@@ -278,13 +250,15 @@ def simon_inequality(xi, eta, p: float, tol: float = 1e-12) -> SimonResult:
     single = xi.ndim == 1
     if single:
         xi, eta = xi[None, :], eta[None, :]
-    nxi = np.sqrt(np.sum(xi**2, axis=-1))
-    neta = np.sqrt(np.sum(eta**2, axis=-1))
-    fxi = _power0(nxi, p - 2.0)[..., None] * xi
-    feta = _power0(neta, p - 2.0)[..., None] * eta
+    # hypot does not square, so tiny vectors keep their norms (no underflow);
+    # F(z) = |z|^{p-1} z/|z| stays finite where |z|^{p-2} overflows (p < 2)
+    nxi = np.hypot.reduce(xi, axis=-1)
+    neta = np.hypot.reduce(eta, axis=-1)
+    fxi = _power0(nxi, p - 1.0)[..., None] * _unit(xi)
+    feta = _power0(neta, p - 1.0)[..., None] * _unit(eta)
     diff = xi - eta
     pairing = np.sum((fxi - feta) * diff, axis=-1)
-    ndiff = np.sqrt(np.sum(diff**2, axis=-1))
+    ndiff = np.hypot.reduce(diff, axis=-1)
     if p >= 2.0:
         lhs = 5.0 ** ((2.0 - p) / 2.0) * ndiff**p
         rhs = pairing

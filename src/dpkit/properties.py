@@ -23,7 +23,6 @@ from .fem import (
     gauss_interval,
     gauss_triangle,
     interpolate,
-    reference_basis,
 )
 from .fields import (
     DoublePhase,
@@ -268,7 +267,7 @@ def _prop_homogeneity(seed: int):
     phase = constant_phase(2.5, 3.5, 0.0, dim=3)
     worst = 0.0
     for u in _sample_functions(seed, per_mesh=4):
-        pts, w, _ = u.mesh.quadrature_points(4)
+        _, w, _ = u.mesh.quadrature_points(4)
         classical = float(np.sum(w * np.abs(u.values_at(4)) ** 2.5)) ** (1.0 / 2.5)
         lam = luxemburg_norm(u, phase, "value")
         worst = max(worst, abs(lam - classical) / max(classical, 1e-300))
@@ -310,8 +309,8 @@ def _nodal_modular(u: DiscreteFunction, phase: DoublePhase) -> float:
     so the truncation comparison is stated against this nodal evaluation.
     """
     mesh = u.mesh
-    w = np.zeros(mesh.num_nodes)
-    np.add.at(w, mesh.elements, (mesh.measures / (mesh.dim + 1.0))[:, None])
+    lumped = np.broadcast_to((mesh.measures / (mesh.dim + 1.0))[:, None], mesh.elements.shape)
+    w = mesh.scatter_vector(lumped)
     p, q, mu = phase.at(mesh.nodes)
     a = np.abs(u.values)
     return float(np.sum(w * (a**p + mu * a**q)))
@@ -337,9 +336,8 @@ def _prop_truncation(seed: int):
 def _prop_partition_of_unity(seed: int):
     worst = 0.0
     for order in range(1, 9):
-        for dim, rule in ((1, gauss_interval(order)), (2, gauss_triangle(order))):
-            vals = reference_basis(dim, rule.points)
-            worst = max(worst, float(np.max(np.abs(vals.sum(axis=1) - 1.0))))
+        for rule in (gauss_interval(order), gauss_triangle(order)):
+            worst = max(worst, float(np.max(np.abs(rule.basis.sum(axis=1) - 1.0))))
     return worst <= 1e-14, f"max |sum(basis) - 1| = {worst:.3e}"
 
 
@@ -359,10 +357,9 @@ def _prop_refinement_monotone(seed: int):
     for n in (8, 16, 32, 64):
         mesh = build_interval_mesh(0.0, 1.0, n)
         u = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]))
-        pts, w, _ = mesh.quadrature_points(4)
-        g_exact = np.pi * np.cos(np.pi * pts[..., 0])
+        g_exact = mesh.sample(lambda x: np.pi * np.cos(np.pi * x[:, 0]), 4)
         diff = np.abs(u.gradients[:, None, 0] - g_exact)
-        p, q, mu = phase.at(pts)
+        p, q, mu, w = phase.at_quadrature(mesh, 4)
         errs.append(float(np.sum(w * (diff**p + mu * diff**q))))
     ok = all(b < a for a, b in zip(errs, errs[1:]))
     return ok, "errors " + ", ".join(f"{e:.3e}" for e in errs)

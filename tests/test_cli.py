@@ -228,6 +228,20 @@ def test_solve_numeric_failure_exits_three(tmp_path):
     assert main(["solve", str(cfgpath)]) == 3
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"kind": "rhs", "expr": "1/(x-x)"},
+        # the Picard warm start is u = 0, where 1/s is infinite
+        {"kind": "term", "expr": "1/s", "a1": 0.1, "a2": 0.1, "b1": 0.1, "b2": 0.1, "r": 2.0},
+    ],
+)
+def test_solve_non_finite_forcing_exits_three(tmp_path, capsys, problem):
+    cfgpath = write_config(tmp_path, problem=problem)
+    assert main(["solve", str(cfgpath)]) == 3
+    assert "non-finite integrand on element 0" in capsys.readouterr().err
+
+
 def test_solve_output_dir_override(tmp_path):
     cfgpath = write_config(
         tmp_path, problem={"kind": "builtin", "name": "poisson-1d"},

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpkit.eigen import mass_matrix
 from dpkit.fem import (
     DEFAULT_QUAD_ORDER,
     MAX_QUAD_ORDER,
@@ -21,6 +22,7 @@ from dpkit.fem import (
     interpolate,
     reference_basis,
 )
+from dpkit.operator import assemble_load
 
 from conftest import random_nodal
 
@@ -72,6 +74,15 @@ def test_scatter_sums_element_matrices(square_mesh):
     assert np.array_equal(K, counts)
 
 
+def test_scatter_vector_matches_add_at(square_mesh):
+    rng = np.random.default_rng(3)
+    local = rng.standard_normal(square_mesh.elements.shape)
+    expected = np.zeros(square_mesh.num_nodes)
+    np.add.at(expected, square_mesh.elements, local)
+    # same summation order, so equal bit for bit
+    assert np.array_equal(square_mesh.scatter_vector(local), expected)
+
+
 def test_mesh_edges_unique_and_sorted(square_mesh):
     e = square_mesh.edges()
     assert np.all(e[:, 0] < e[:, 1])
@@ -114,6 +125,40 @@ def test_reference_basis_partition_of_unity(square_mesh):
         basis = reference_basis(2, rule.points)
         np.testing.assert_allclose(basis.sum(axis=1), 1.0, atol=1e-14)
         assert basis.min() >= -1e-14
+
+
+def test_each_gauss_rule_is_built_once(monkeypatch):
+    builds = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        builds.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    gauss_interval.cache_clear()
+    gauss_triangle.cache_clear()
+    used = set()
+    for n in (3, 5, 8):  # fresh meshes, each asking for every rule again
+        for mesh in (build_interval_mesh(0.0, 1.0, n), build_rect_mesh((0, 1), (0, 2), n, 2)):
+            u = DiscreteFunction(mesh, np.linspace(0.0, 1.0, mesh.num_nodes))
+            for order in (1, 4, 8):
+                u.values_at(order)
+                assemble_load(mesh, lambda pts: np.ones(pts.shape[0]), order)
+                mass_matrix(mesh, order)
+                used.add((mesh.dim, order))
+    assert len(builds) == len(used)
+
+
+def test_cached_quadrature_arrays_are_read_only(square_mesh, dp_phase):
+    pts, w, rule = square_mesh.quadrature_points(3)
+    samples = dp_phase.at_quadrature(square_mesh, 3)
+    arrays = [rule.points, rule.weights, rule.basis, gauss_interval(3).basis]
+    arrays += [square_mesh.basis_at(3), pts, w, *samples]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert dp_phase.at_quadrature(square_mesh, 3) is samples
 
 
 def test_integrate_exact_for_affine(square_mesh):

@@ -21,7 +21,14 @@ from dpkit.modular import (
     _luxemburg_roots,
     luxemburg_norm,
 )
-from dpkit.operator import apply_operator, boundedness_estimate, _operator_residual_full
+from dpkit.operator import (
+    _operator_residual_full,
+    apply_operator,
+    assemble_jacobian,
+    assemble_residual,
+    boundedness_estimate,
+    energy,
+)
 from dpkit.properties import standard_phase_configs
 from dpkit.solve import weak_residual
 
@@ -114,14 +121,24 @@ def test_boundedness_empirical_matches_full_mesh_loop(mesh_name):
 
 
 def test_weak_residual_follows_a_reassigned_weight():
+    """Results that sample mu at the quadrature points (through the per-mesh
+    sample cache) see a reassigned weight as a fresh phase would."""
     mesh = MESHES["rect"]
     p, q = ScalarField.constant(2.0), ScalarField.constant(3.0)
     phase = DoublePhase(p, q, ScalarField.constant(0.0), dim=3)
     zero = DiscreteFunction(mesh, np.zeros(mesh.num_nodes), zero_boundary=True)
+    u = sine_bump(mesh)
     rhs = lambda pts: np.ones(pts.shape[0])
-    before = weak_residual(zero, rhs, phase)
+    results = {
+        "weak_residual": lambda ph: weak_residual(zero, rhs, ph),
+        "assemble_residual": lambda ph: assemble_residual(u, ph).residual,
+        "assemble_jacobian": lambda ph: assemble_jacobian(u, ph).toarray(),
+        "energy": lambda ph: energy(u, ph),
+    }
+    before = {name: fn(phase) for name, fn in results.items()}
     phase.mu = ScalarField.constant(50.0)
-    after = weak_residual(zero, rhs, phase)
-    fresh = weak_residual(zero, rhs, DoublePhase(p, q, ScalarField.constant(50.0), dim=3))
-    assert after == fresh
-    assert after != before
+    fresh_phase = DoublePhase(p, q, ScalarField.constant(50.0), dim=3)
+    for name, fn in results.items():
+        after, fresh = fn(phase), fn(fresh_phase)
+        assert np.array_equal(after, fresh), name
+        assert not np.array_equal(after, before[name]), name

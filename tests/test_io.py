@@ -8,7 +8,6 @@ from dpkit.io import (
     load_mesh,
     load_node_table,
     load_solution,
-    save_coo,
     save_mesh,
     save_solution,
     save_vtk,
@@ -100,17 +99,6 @@ def test_vtk_structure_1d(tmp_path, interval_mesh):
     lines = text.splitlines()
     start = lines.index(f"CELL_TYPES {interval_mesh.num_elements}") + 1
     assert lines[start].strip() == "3"  # VTK line element
-
-
-def test_save_coo_sorted(tmp_path):
-    import scipy.sparse as sp
-
-    m = sp.coo_matrix(([3.0, 1.0, 2.0], ([2, 0, 1], [0, 1, 2])), shape=(3, 3))
-    path = tmp_path / "m.coo"
-    save_coo(path, m)
-    lines = path.read_text().splitlines()
-    rows = [tuple(map(float, ln.split())) for ln in lines]
-    assert rows == sorted(rows)
 
 
 def test_load_mesh_rejects_bad_indices(tmp_path, interval_mesh):

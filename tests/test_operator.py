@@ -2,20 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpkit.fem import DiscreteFunction, build_interval_mesh, interpolate
 from dpkit.fields import constant_phase
 from dpkit.operator import (
     apply_operator,
-    apply_operator_with_mass,
     assemble_jacobian,
     assemble_load,
     assemble_residual,
     boundedness_estimate,
     energy,
-    energy_with_mass,
     gradient_check,
     monotonicity_probe,
     simon_inequality,
@@ -32,12 +30,6 @@ def test_energy_of_linear_ramp(interval_mesh, dp_phase):
     u = interpolate(interval_mesh, lambda pts: 2.0 * pts[:, 0])
     # int |u'|^p / p + mu |u'|^q / q = 4/2 + 8/3 on the unit interval
     assert energy(u, dp_phase) == pytest.approx(2.0 + 8.0 / 3.0, rel=1e-14)
-
-
-def test_energy_with_mass_adds_lower_terms(interval_mesh, dp_phase):
-    rng = np.random.default_rng(0)
-    u = random_nodal(interval_mesh, rng)
-    assert energy_with_mass(u, dp_phase) > energy(u, dp_phase)
 
 
 def test_pairing_symmetric_in_the_linear_case(interval_mesh):
@@ -65,13 +57,6 @@ def test_apply_operator_rejects_mesh_mismatch(interval_mesh, square_mesh, dp_pha
     v = DiscreteFunction(square_mesh, np.zeros(square_mesh.num_nodes))
     with pytest.raises(ValueError):
         apply_operator(u, v, dp_phase)
-
-
-def test_operator_with_mass_extends_plain_pairing(interval_mesh, dp_phase):
-    u = sine_bump(interval_mesh)
-    plain = apply_operator(u, u, dp_phase)
-    extended = apply_operator_with_mass(u, u, dp_phase)
-    assert extended > plain
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +206,11 @@ def test_simon_inequality_rejects_p_below_one():
     st.floats(min_value=1.0, max_value=5.0),
 )
 @settings(max_examples=200, deadline=None)
+# tiny vectors: |xi| from sum(xi**2) underflows, |eta|^(p-2) overflows, and
+# eta/|eta| is no unit vector when |eta| is rounded to a subnormal
+@example(x1=0.0, x2=3.9004128188091297e-159, e1=0.0, e2=1.0, p=1.0)
+@example(x1=0.0, x2=0.0, e1=0.0, e2=5e-324, p=1.0)
+@example(x1=1.0, x2=1.0, e1=5e-324, e2=5e-324, p=1.0)
 def test_simon_inequality_hypothesis(x1, x2, e1, e2, p):
     res = simon_inequality(np.array([x1, x2]), np.array([e1, e2]), p)
     assert res.passed
