@@ -3,10 +3,13 @@
 lambda_{1,r} = inf { int |grad u|^r dx : u zero-trace, int |u|^r dx = 1 }.
 
 For r = 2 this is the generalized eigenvalue problem K u = lambda M u with
-the P1 stiffness and mass matrices, solved by inverse power iteration with a
-sparse factorization.  For r != 2 a normalized inverse iteration is used:
-each step solves the monotone problem  A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k
-and renormalizes; convergence is declared on Rayleigh-quotient stagnation.
+the P1 stiffness and mass matrices, assembled straight into their free-node
+blocks by :meth:`Mesh.scatter_free` and solved by inverse power iteration.
+K is symmetric positive definite, so it is factored once in a symmetric
+fill-reducing order (minimum degree on K^T + K).  For r != 2 a normalized
+inverse iteration is used: each step solves the monotone problem
+A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k and renormalizes; convergence is
+declared on Rayleigh-quotient stagnation.
 
 The margins below are the positivity conditions under which the convection
 problem is coercive (existence) and the p = 2 problem has a unique solution.
@@ -37,17 +40,23 @@ __all__ = [
 
 def stiffness_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matrix:
     """P1 stiffness matrix int grad phi_i . grad phi_j dx over all nodes."""
-    G = mesh.basis_gradients
-    local = mesh.measures[:, None, None] * np.einsum("eid,ejd->eij", G, G)
-    return mesh.scatter(local)
+    return mesh.scatter(_stiffness_local(mesh))
 
 
 def mass_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matrix:
     """P1 mass matrix int phi_i phi_j dx over all nodes."""
+    return mesh.scatter(_mass_local(mesh, order))
+
+
+def _stiffness_local(mesh: Mesh) -> np.ndarray:
+    G = mesh.basis_gradients
+    return mesh.measures[:, None, None] * np.einsum("eid,ejd->eij", G, G)
+
+
+def _mass_local(mesh: Mesh, order: int) -> np.ndarray:
     _, w, _ = mesh.quadrature_points(order)
     basis = mesh.basis_at(order)
-    local = np.einsum("eq,qi,qj->eij", w, basis, basis)
-    return mesh.scatter(local)
+    return np.einsum("eq,qi,qj->eij", w, basis, basis)
 
 
 @dataclass
@@ -125,9 +134,9 @@ def first_eigenvalue(
 
 def _first_eigenvalue_linear(mesh, tol, order, max_iter) -> EigenResult:
     free = mesh.free_nodes
-    K = stiffness_matrix(mesh, order)[free][:, free].tocsc()
-    M = mass_matrix(mesh, order)[free][:, free].tocsr()
-    lu = spla.splu(K)
+    K = mesh.scatter_free(_stiffness_local(mesh)).tocsc()
+    M = mesh.scatter_free(_mass_local(mesh, order))
+    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A")
     x = _coordinate_bump(mesh).values[free]
     lam = float(x @ (K @ x)) / float(x @ (M @ x))
     history = []

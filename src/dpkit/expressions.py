@@ -69,7 +69,10 @@ class Expression:
         missing = self.variables - set(env)
         if missing:
             raise ValueError(f"missing variables: {', '.join(sorted(missing))}")
-        out = np.asarray(self._fn(env), dtype=float)
+        # inf and nan flow through to the callers' finiteness checks, which
+        # name the element or field; numpy's own warnings would add nothing
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.asarray(self._fn(env), dtype=float)
         if out.ndim == 0:
             if n is None:
                 for v in env.values():

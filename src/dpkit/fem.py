@@ -9,6 +9,9 @@ functions with cached element gradients.
 Quadrature data has one owner: reference rules and their P1 basis are built
 once per (dimension, order), physical points and weights once per mesh and
 order, and every cached array is read-only, so an in-place edit raises.
+Element matrices are summed over all nodes by ``Mesh.scatter``, or straight
+into the free x free block by ``Mesh.scatter_free`` through a CSR pattern
+each mesh builds once, on first use.
 """
 
 from __future__ import annotations
@@ -127,6 +130,7 @@ class Mesh:
         self._quad_cache: dict[int, tuple] = {}
         self._field_bounds: dict = {}  # (field, order) -> (min, max), see fields.field_bounds
         self._phase_samples: dict = {}  # order -> (fields, samples): DoublePhase.at_quadrature
+        self._free_csr = None  # (indptr, indices, slot), built by scatter_free
 
     @property
     def num_nodes(self) -> int:
@@ -202,6 +206,22 @@ class Mesh:
             (local.ravel(), (rows, cols)), shape=(self.num_nodes, self.num_nodes)
         ).tocsr()
 
+    def scatter_free(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum per-element matrices (nelems, nv, nv) into the free x free block.
+
+        Uses the free-node pattern built on first use (see
+        :func:`_free_pattern`): entries are added in element order and entries
+        touching a boundary node are dropped.  The result is in canonical CSR
+        format, and symmetric local matrices give an exactly symmetric one.
+        """
+        if self._free_csr is None:
+            self._free_csr = _free_pattern(self)
+        indptr, indices, slot = self._free_csr
+        nnz = indices.size
+        data = np.bincount(slot, np.ravel(local), nnz + 1)[:nnz]
+        n = self.free_nodes.size
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
     def scatter_vector(self, local: np.ndarray) -> np.ndarray:
         """Sum per-element vectors (nelems, nv) into a nodal vector, in element order."""
         return np.bincount(self.elements.ravel(), np.ravel(local), self.num_nodes)
@@ -215,6 +235,30 @@ class Mesh:
             pairs = np.vstack([elems[:, [0, 1]], elems[:, [1, 2]], elems[:, [0, 2]]])
         pairs = np.sort(pairs, axis=1)
         return np.unique(pairs, axis=0)
+
+
+def _free_pattern(mesh: Mesh):
+    """CSR pattern of the free x free block and the slot of every local entry.
+
+    Returns ``(indptr, indices, slot)``: ``slot`` (int32, one per entry of the
+    (nelems, nv, nv) local matrices in C order) is the entry's position in
+    the CSR data, or nnz for an entry that touches a boundary node.
+    """
+    n = mesh.free_nodes.size
+    index = np.full(mesh.num_nodes, -1, dtype=np.int32)
+    index[mesh.free_nodes] = np.arange(n, dtype=np.int32)
+    nv = mesh.elements.shape[1]
+    elems = index[mesh.elements]
+    rows = np.repeat(elems, nv, axis=1).ravel()
+    cols = np.tile(elems, (1, nv)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    # number the stored entries and read each local entry's number back
+    pattern.data = np.arange(pattern.nnz, dtype=float)
+    slot = np.full(keep.size, pattern.nnz, dtype=np.int32)
+    slot[keep] = np.asarray(pattern[rows, cols]).ravel()
+    return pattern.indptr, pattern.indices, slot
 
 
 def build_interval_mesh(a: float, b: float, n: int) -> Mesh:

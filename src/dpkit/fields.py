@@ -170,13 +170,16 @@ class DoublePhase:
 
         The mesh keeps the latest samples per order, keyed by the three field
         objects: reassigning a field (say ``phase.mu``) misses the cache, and
-        many phases on one mesh do not pile up samples.
+        many phases on one mesh do not pile up samples.  Each fill checks that
+        the samples are finite (ValueError, as :meth:`validate` raises).
         """
         key = (self.p, self.q, self.mu)
         cached = mesh._phase_samples.get(order)
         if cached is None or cached[0] != key:
             pts, w, _ = mesh.quadrature_points(order)
-            cached = mesh._phase_samples[order] = (key, (*map(_frozen, self.at(pts)), w))
+            pqmu = self.at(pts)
+            _check_finite(pqmu)
+            cached = mesh._phase_samples[order] = (key, (*map(_frozen, pqmu), w))
         return cached[1]
 
     def h_at(self, points, t):
@@ -191,13 +194,18 @@ class DoublePhase:
         """Raise ValueError unless p, q > 1 and mu >= 0 on the sample set."""
         pts = sample_points(mesh, order)
         p, q, mu = self.at(pts)
-        for name, vals in (("p", p), ("q", q), ("mu", mu)):
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"field {name} takes non-finite values on the mesh")
+        _check_finite((p, q, mu))
         if p.min() <= 1.0 or q.min() <= 1.0:
             raise ValueError("exponent fields must satisfy p, q > 1 on the mesh")
         if mu.min() < 0.0:
             raise ValueError("the weight mu must be nonnegative")
+
+
+def _check_finite(pqmu) -> None:
+    """ValueError naming the first of the sampled (p, q, mu) with a non-finite value."""
+    for name, vals in zip(("p", "q", "mu"), pqmu):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"field {name} takes non-finite values on the mesh")
 
 
 def constant_phase(p: float, q: float, mu: float, dim: int = 2) -> DoublePhase:

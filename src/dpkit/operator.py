@@ -14,8 +14,11 @@ sqrt(s^2 + eps_reg^2); the residual itself is never regularized.
 
 Every assembly reads its weights and (p, q, mu) samples through
 :meth:`DoublePhase.at_quadrature`, which reuses them while the mesh, the
-fields and the order stay the same, and sums element contributions with
-:meth:`Mesh.scatter` (Jacobian) or :meth:`Mesh.scatter_vector` (residual, load).
+fields and the order stay the same.  Element contributions are summed in
+element order: the Jacobian with :meth:`Mesh.scatter_free` straight into the
+free x free CSR block, through a pattern the mesh builds once, and the
+residual and load with :meth:`Mesh.scatter_vector`.  The local Jacobians are
+exactly symmetric, and so is the assembled matrix.
 """
 
 from __future__ import annotations
@@ -50,11 +53,8 @@ DEFAULT_EPS_REG = 1e-8
 
 def _power0(s: np.ndarray, expo: np.ndarray) -> np.ndarray:
     """s**expo with the convention 0**e = 0 (any e), elementwise."""
-    s, expo = np.broadcast_arrays(s, expo)
-    out = np.zeros(s.shape)
-    nz = s > 0.0
-    out[nz] = s[nz] ** expo[nz]
-    return out
+    shape = np.broadcast_shapes(np.shape(s), np.shape(expo))
+    return np.power(s, expo, out=np.zeros(shape), where=s > 0.0)
 
 
 def _flux_coefficients(u: DiscreteFunction, phase: DoublePhase, order: int) -> np.ndarray:
@@ -166,8 +166,7 @@ def assemble_jacobian(
     local = a[:, None, None] * gram + b[:, None, None] * np.einsum(
         "ei,ej->eij", gdot, gdot
     )
-    free = mesh.free_nodes
-    return mesh.scatter(local)[free][:, free].tocsr()
+    return mesh.scatter_free(local)
 
 
 def gradient_check(

@@ -2,7 +2,11 @@
 
 ``solve_monotone`` handles  A(u) = rhs  by a damped Newton method: the exact
 residual is paired with the regularized Jacobian and a backtracking line
-search on 1/2 ||residual||^2.  ``solve_convection`` handles
+search on 1/2 ||residual||^2.  The operator is strictly monotone, so the
+Jacobian is symmetric positive definite on the free nodes; each step factors
+it in a symmetric fill-reducing order (minimum degree on J^T + J), which
+fills in less than the default column ordering for general matrices.
+``solve_convection`` handles
 A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
 relaxes the update, and halves the relaxation whenever the outer residual
 increases.  The outer residual is a dual-norm residual over the nodal hats;
@@ -195,7 +199,7 @@ def solve_monotone(
             )
         jac = assemble_jacobian(u, phase, opts.order, opts.eps_reg)
         try:
-            delta = spla.spsolve(jac.tocsc(), -asm.residual)
+            delta = spla.spsolve(jac.tocsc(), -asm.residual, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # singular factorization
             raise NumericError(f"Newton linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):

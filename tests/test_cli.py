@@ -236,10 +236,22 @@ def test_solve_numeric_failure_exits_three(tmp_path):
         {"kind": "term", "expr": "1/s", "a1": 0.1, "a2": 0.1, "b1": 0.1, "b2": 0.1, "r": 2.0},
     ],
 )
-def test_solve_non_finite_forcing_exits_three(tmp_path, capsys, problem):
+def test_solve_non_finite_forcing_exits_three(tmp_path, capsys, recwarn, problem):
     cfgpath = write_config(tmp_path, problem=problem)
     assert main(["solve", str(cfgpath)]) == 3
     assert "non-finite integrand on element 0" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_solve_non_finite_phase_exits_two(tmp_path, capsys, recwarn):
+    cfgpath = write_config(
+        tmp_path,
+        fields={"p": 2.0, "q": 3.0, "mu": {"kind": "expr", "expr": "1/(x-x)"}, "dim": 3},
+        problem={"kind": "rhs", "expr": "1"},
+    )
+    assert main(["solve", str(cfgpath)]) == 2
+    assert "field mu takes non-finite values on the mesh" in capsys.readouterr().err
+    assert not recwarn.list
 
 
 def test_solve_output_dir_override(tmp_path):

@@ -65,6 +65,24 @@ def test_linear_eigenvalue_near_continuum():
     assert res.value == pytest.approx(np.pi**2, rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "mesh, value, iterations",
+    [
+        (build_interval_mesh(0.0, 1.0, 64), 9.871586353256726, 1),
+        (build_rect_mesh((0.0, 1.0), (0.0, 1.0), 16, 16), 19.9297898423148, 5),
+        (build_rect_mesh((0.0, 2.0), (0.0, 1.0), 24, 12), 12.453520707107698, 5),
+    ],
+    ids=["interval-64", "square-16", "rect-24x12"],
+)
+def test_linear_eigenvalue_pinned(mesh, value, iterations):
+    # recorded with the full-node matrices restricted to the free nodes and a
+    # COLAMD-ordered LU; the free-node scatter and the minimum-degree order
+    # may change only rounding
+    res = first_eigenvalue(mesh, r=2.0)
+    assert res.iterations == iterations
+    assert res.value == pytest.approx(value, rel=1e-13)
+
+
 def test_square_eigenvalue_near_continuum():
     mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 24, 24)
     res = first_eigenvalue(mesh, r=2.0)

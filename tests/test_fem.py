@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkit.eigen import mass_matrix
+from dpkit import fem
+from dpkit.eigen import first_eigenvalue, mass_matrix
 from dpkit.fem import (
     DEFAULT_QUAD_ORDER,
     MAX_QUAD_ORDER,
@@ -22,7 +23,7 @@ from dpkit.fem import (
     interpolate,
     reference_basis,
 )
-from dpkit.operator import assemble_load
+from dpkit.operator import assemble_jacobian, assemble_load
 
 from conftest import random_nodal
 
@@ -81,6 +82,51 @@ def test_scatter_vector_matches_add_at(square_mesh):
     np.add.at(expected, square_mesh.elements, local)
     # same summation order, so equal bit for bit
     assert np.array_equal(square_mesh.scatter_vector(local), expected)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_interval_mesh(0.0, 1.0, 9), build_rect_mesh((0.0, 2.0), (0.0, 1.0), 5, 4)],
+    ids=["interval", "rect"],
+)
+def test_scatter_free_matches_restricted_scatter(mesh):
+    nv = mesh.elements.shape[1]
+    rng = np.random.default_rng(5)
+    local = rng.random((mesh.num_elements, nv, nv))
+    local = local + local.transpose(0, 2, 1)
+    free = mesh.free_nodes
+    expected = mesh.scatter(local)[free][:, free].tocsr()
+    got = mesh.scatter_free(local)
+    assert got.shape == (free.size, free.size)
+    assert got.has_canonical_format
+    np.testing.assert_array_equal(got.indptr, expected.indptr)
+    np.testing.assert_array_equal(got.indices, expected.indices)
+    # sums of positive entries agree to a few ulps in any order
+    np.testing.assert_allclose(got.data, expected.data, rtol=1e-14)
+    # entries (i, j) and (j, i) add the same values in the same element order
+    assert (got != got.T).nnz == 0
+
+
+def test_free_pattern_is_built_once_per_mesh(monkeypatch, dp_phase):
+    builds = []
+    build = fem._free_pattern
+
+    def counted(mesh):
+        builds.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(fem, "_free_pattern", counted)
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 6, 6)
+    assert builds == []  # lazy: not built with the mesh
+    u = random_nodal(mesh, np.random.default_rng(2))
+    first = assemble_jacobian(u, dp_phase)
+    nnz = first.nnz
+    first.data[:] = 0.0
+    first.eliminate_zeros()  # an in-place edit of one result leaves the pattern intact
+    again = assemble_jacobian(u, dp_phase)
+    first_eigenvalue(mesh)
+    assert len(builds) == 1 and builds[0] is mesh
+    assert again.nnz == nnz > 0
 
 
 def test_mesh_edges_unique_and_sorted(square_mesh):

@@ -89,6 +89,23 @@ def test_poisson_2d_accuracy():
     assert case.l2_error(rep.u) <= 6e-3
 
 
+@pytest.mark.parametrize(
+    "name, n, newton, outer",
+    [
+        ("dp-1d", 128, 5, 1),
+        ("dp-1d", 256, 5, 1),
+        ("poisson-2d", 16, 1, 0),
+        ("poisson-2d", 32, 1, 0),
+        ("convection-linear", 64, 9, 9),
+    ],
+)
+def test_builtin_iteration_counts_pinned(name, n, newton, outer):
+    case = manufactured_case(name)
+    rep = case.solve(case.build_mesh(n))
+    assert rep.converged
+    assert (rep.newton_iterations, rep.outer_iterations) == (newton, outer)
+
+
 def test_dp_solve_converges_and_is_symmetric():
     case = manufactured_case("dp-1d")
     mesh = case.build_mesh(128)
