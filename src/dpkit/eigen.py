@@ -162,7 +162,7 @@ def _first_eigenvalue_linear(mesh, tol, order, max_iter) -> EigenResult:
 def _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter) -> EigenResult:
     from .solve import SolverOptions, solve_monotone  # deferred: solver uses margins
 
-    from .operator import assemble_load
+    from .operator import _power0, assemble_load
 
     phase_r = DoublePhase(
         ScalarField.constant(r), ScalarField.constant(r), ScalarField.constant(0.0),
@@ -174,7 +174,8 @@ def _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter) -> EigenResult:
     history = []
     for it in range(1, max_iter + 1):
         uv = u.values_at(order)
-        samples = lam * np.abs(uv) ** (r - 2.0) * uv
+        # 0**(r-2) = 0: for r < 2 the plain power gives 0 * inf = nan at u = 0
+        samples = lam * _power0(np.abs(uv), r - 2.0) * uv
         load = assemble_load(mesh, samples, order)
         sol = solve_monotone(phase_r, mesh, rhs=load, options=opts, initial=u)
         u = _normalized(sol.u, r, order)

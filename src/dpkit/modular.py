@@ -13,17 +13,19 @@ with Newton acceleration: the bracket comes from the norm-modular sandwich,
 bisection guarantees convergence, Newton steps inside the bracket give the
 usual quadratic tail.
 
-Hat-function norms (the dual-norm diagnostics) need one such root per free
-node.  ``_luxemburg_roots`` runs the same root-find on a block of equal-length
-power sums at once and is bit-for-bit equal to the scalar ``_luxemburg_root``
-on every row: its row sums, row dot products and powers are taken in the
-scalar order (``C.sum(axis=1)``, stacked ``matmul``, ``power`` of the row's
-t), and its bracket start uses Python float powers, as the scalar root does.
-Single-function norms keep the scalar root, which is cheaper for one sum.
+``_luxemburg_roots`` is the one root-finder.  It solves a block of
+equal-length power sums at once: a single-function norm is a block of one
+row, and the hat-function norms (the dual-norm diagnostics) go through it in
+blocks of hats.  The sums over terms are vectorized over the rows (row sums,
+stacked ``matmul`` dot products, ``power`` of each row's t), while each row's
+bracket and step are taken in Python floats, so a row's result does not
+depend on the block it is solved in.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,45 +62,25 @@ DEFAULT_NORM_TOL = 1e-12
 # power-sum representation of quadrature modulars
 
 
-@dataclass(frozen=True)
-class _PowerSum:
-    """rho(t u) = coefs . t**expos with nonnegative coefs and expos > 1."""
-
-    coefs: np.ndarray
-    expos: np.ndarray
-
-    @property
-    def empty(self) -> bool:
-        return self.coefs.size == 0
-
-    def value(self, t: float = 1.0) -> float:
-        if self.empty:
-            return 0.0
-        if t == 1.0:
-            return float(self.coefs.sum())
-        return float(self.coefs @ np.power(t, self.expos))
-
-
-def _part_terms(samples: np.ndarray, expo: np.ndarray, weight: np.ndarray) -> _PowerSum:
-    """Terms weight * samples**expo with zero-coefficient entries dropped."""
+def _part_terms(
+    samples: np.ndarray, expo: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(coefs, expos) of weight * samples**expo, zero-coefficient entries dropped."""
     s = np.broadcast_to(samples, expo.shape).reshape(-1)
     e = expo.reshape(-1)
     w = np.broadcast_to(weight, expo.shape).reshape(-1)
     keep = (w != 0.0) & (s != 0.0)
-    c = w[keep] * np.power(s[keep], e[keep])
-    return _PowerSum(c, e[keep])
+    return w[keep] * np.power(s[keep], e[keep]), e[keep]
 
 
-def _concat(parts) -> _PowerSum:
-    return _PowerSum(
-        np.concatenate([p.coefs for p in parts]),
-        np.concatenate([p.expos for p in parts]),
-    )
+def _concat(parts) -> tuple[np.ndarray, np.ndarray]:
+    coefs, expos = zip(*parts)
+    return np.concatenate(coefs), np.concatenate(expos)
 
 
 def _collect_terms(
     u: DiscreteFunction, phase: DoublePhase, order: int, which: str
-) -> _PowerSum:
+) -> tuple[np.ndarray, np.ndarray]:
     mesh = u.mesh
     p, q, mu, w = phase.at_quadrature(mesh, order)
     parts = []
@@ -116,137 +98,117 @@ def _collect_terms(
     return _concat(parts)
 
 
-def _luxemburg_root(terms: _PowerSum, tol: float) -> tuple[float, int]:
-    """Solve rho(t u) = 1 for t and return (lambda, iterations) with lambda = 1/t.
-
-    Stops when |rho(u/lambda) - 1| <= tol * e_max * min(1/lambda, 1): for
-    norms above one this makes lambda accurate to about tol absolutely, and
-    for norms below one it caps the admissible modular residual at
-    tol * e_max.  Also stops when the bracket collapses to adjacent floats
-    (lambda then carries no representable error).  Raises NumericError if the
-    iteration budget runs out with a live bracket.
-    """
-    if terms.empty:
-        return 0.0, 0
-    m1 = terms.value(1.0)
-    if m1 == 0.0:
-        return 0.0, 0
-    if not np.isfinite(m1):
-        raise NumericError("modular overflow while bracketing the Luxemburg norm")
-    e_lo = float(terms.expos.min())
-    e_hi = float(terms.expos.max())
-    lam_bounds = sorted((m1 ** (1.0 / e_lo), m1 ** (1.0 / e_hi)))
-    t_lo, t_hi = 1.0 / lam_bounds[1], 1.0 / lam_bounds[0]
-    # floating-point slack, then geometric expansion if rounding flipped a sign
-    t_lo *= 1.0 - 1e-12
-    t_hi *= 1.0 + 1e-12
-    for _ in range(64):
-        if terms.value(t_lo) - 1.0 <= 0.0:
-            break
-        t_lo *= 0.5
-    for _ in range(64):
-        if terms.value(t_hi) - 1.0 >= 0.0:
-            break
-        t_hi *= 2.0
-    t = t_hi
-    for it in range(1, 301):
-        powv = np.power(t, terms.expos)
-        h = float(terms.coefs @ powv) - 1.0
-        if abs(h) <= tol * e_hi * min(t, 1.0):
-            return 1.0 / t, it
-        if h > 0.0:
-            t_hi = t
-        else:
-            t_lo = t
-        slope = float((terms.coefs * terms.expos) @ powv) / t
-        t_new = t - h / slope if slope > 0.0 else 0.5 * (t_lo + t_hi)
-        if not t_lo < t_new < t_hi:
-            t_new = 0.5 * (t_lo + t_hi)
-        if t_new == t:  # bracket exhausted: t is exact to machine precision
-            return 1.0 / t, it
-        t = t_new
-    raise NumericError(
-        "Luxemburg norm did not reach the modular tolerance "
-        f"(bracket [{1.0 / t_hi}, {1.0 / t_lo}], "
-        f"residual target {tol * e_hi * min(t, 1.0)})"
-    )
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
+    """Row-by-row dot products as floats, each summed as the 1-D ``a[i] @ b[i]``."""
+    if a.shape[0] == 1:  # skip the stacking, which costs more than a short sum
+        return [float(a[0] @ b[0])]
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row dot products, each summed as the 1-D ``a[i] @ b[i]`` sums it."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+def _take(a: np.ndarray, rows: list) -> np.ndarray:
+    """``a[rows]`` for ascending distinct rows, without a copy when that is all of a."""
+    return a if len(rows) == a.shape[0] else a[rows]
 
 
 def _luxemburg_roots(
     coefs: np.ndarray, expos: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_luxemburg_root` for every row of equal-length power sums.
+    """Solve rho_i(t) = 1 for every row of equal-length power sums.
 
-    Row i is rho_i(t) = coefs[i] . t**expos[i]; returns (lambda, iterations)
-    arrays.  Each row takes the scalar root's steps, vectorized over the rows
-    still iterating, with every sum in the scalar order, so each row is bit
-    for bit the scalar result.  Raises the scalar root's NumericError for the
-    first failing row.
+    Row i is rho_i(t) = coefs[i] . t**expos[i]; returns arrays of
+    lambda_i = 1/t_i and of iteration counts.  A row stops when
+    |rho_i(t) - 1| <= tol * e_max * min(t, 1): for norms above one this
+    makes lambda accurate to about tol absolutely, and for norms below one it
+    caps the admissible modular residual at tol * e_max.  It also stops when
+    the bracket collapses to adjacent floats (lambda then carries no
+    representable error).  Rows whose sum vanishes get lambda = 0 after zero
+    iterations.  Raises NumericError on a non-finite modular, or for the
+    first row whose iteration budget runs out with a live bracket.
+
+    Each step takes one ``power`` over the live rows' exponents and two row
+    dot products (rho and its slope); the bracket and the Newton-or-bisection
+    step of each row are then taken in Python floats, and finished rows leave
+    the block.  Every row's arithmetic is thus the same whatever else is in
+    the block, and a single function is a block of one row.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     lam = np.zeros(coefs.shape[0])
     its = np.zeros(coefs.shape[0], dtype=int)
-    m1 = coefs.sum(axis=1)
-    if not np.all(np.isfinite(m1)):
+    m1 = coefs.sum(axis=1).tolist()
+    if not all(map(math.isfinite, m1)):
         raise NumericError("modular overflow while bracketing the Luxemburg norm")
-    live = np.flatnonzero(m1 != 0.0)
-    if live.size == 0:
+    live = [i for i, m in enumerate(m1) if m != 0.0]
+    if not live:
         return lam, its
-    C, E, m1 = coefs[live], expos[live], m1[live]
-    e_hi = E.max(axis=1)
-    # Python float powers: numpy's vectorized power may differ in the last bit
-    m1s = m1.tolist()
-    a = np.array([m ** (1.0 / e) for m, e in zip(m1s, E.min(axis=1).tolist())])
-    b = np.array([m ** (1.0 / e) for m, e in zip(m1s, e_hi.tolist())])
-    t_lo = 1.0 / np.maximum(a, b) * (1.0 - 1e-12)
-    t_hi = 1.0 / np.minimum(a, b) * (1.0 + 1e-12)
+    C, E = _take(coefs, live), _take(expos, live)
+    powv = np.empty_like(E)  # one buffer for every power evaluation
+    m1 = [m1[i] for i in live]
+    e_hi = E.max(axis=1).tolist()
+    t_lo, t_hi = [], []
+    # the norm-modular sandwich plus floating-point slack, in Python float
+    # powers: numpy's vectorized power may differ in the last bit
+    for m, lo, hi in zip(m1, E.min(axis=1).tolist(), e_hi):
+        a, b = sorted((m ** (1.0 / lo), m ** (1.0 / hi)))
+        t_lo.append(1.0 / b * (1.0 - 1e-12))
+        t_hi.append(1.0 / a * (1.0 + 1e-12))
 
-    def value(sel: np.ndarray, t: np.ndarray) -> np.ndarray:
-        out = m1[sel]  # _PowerSum.value(1.0) is the plain sum
-        other = t != 1.0
-        out[other] = _row_dots(C[sel[other]], np.power(t[other, None], E[sel[other]]))
+    def rho(rows: list, t: list) -> list:
+        out = [m1[i] for i in rows]  # at t = 1 the plain sum
+        other = [k for k, i in enumerate(rows) if t[i] != 1.0]
+        if other:
+            sel = [rows[k] for k in other]
+            tk = np.array([t[i] for i in sel])[:, None]
+            pw = np.power(tk, _take(E, sel), out=powv[: len(sel)])
+            for k, v in zip(other, _row_dots(_take(C, sel), pw)):
+                out[k] = v
         return out
 
-    for t_end, factor, holds in ((t_lo, 0.5, np.less_equal), (t_hi, 2.0, np.greater_equal)):
-        sel = np.arange(live.size)
+    # geometric expansion if rounding flipped a sign
+    for t_end, factor, holds in ((t_lo, 0.5, operator.le), (t_hi, 2.0, operator.ge)):
+        rows = list(range(len(live)))
         for _ in range(64):
-            sel = sel[~holds(value(sel, t_end[sel]) - 1.0, 0.0)]
-            if sel.size == 0:
+            rows = [i for i, v in zip(rows, rho(rows, t_end)) if not holds(v - 1.0, 0.0)]
+            if not rows:
                 break
-            t_end[sel] *= factor
+            for i in rows:
+                t_end[i] *= factor
     CE = C * E
-    target = tol * e_hi
-    t = t_hi.copy()
+    target = [tol * e for e in e_hi]
+    t = list(t_hi)
     for it in range(1, 301):
-        powv = np.power(t[:, None], E)
-        h = _row_dots(C, powv) - 1.0
-        done = np.abs(h) <= target * np.minimum(t, 1.0)
-        above = h > 0.0
-        t_hi = np.where(above, t, t_hi)
-        t_lo = np.where(above, t_lo, t)
-        slope = _row_dots(CE, powv) / t
-        mid = 0.5 * (t_lo + t_hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_new = np.where(slope > 0.0, t - h / slope, mid)
-        t_new = np.where((t_lo < t_new) & (t_new < t_hi), t_new, mid)
-        done |= t_new == t  # bracket exhausted: t is exact to machine precision
-        lam[live[done]] = 1.0 / t[done]
-        its[live[done]] = it
-        if done.any():
-            go = ~done
-            live, C, E, CE, target = live[go], C[go], E[go], CE[go], target[go]
-            t_lo, t_hi, t_new = t_lo[go], t_hi[go], t_new[go]
-            if live.size == 0:
-                return lam, its
-        t = t_new
+        pw = np.power(np.array(t)[:, None], E, out=powv[: len(t)])
+        go = []
+        for i, (r, dot) in enumerate(zip(_row_dots(C, pw), _row_dots(CE, pw))):
+            h, ti = r - 1.0, t[i]
+            if abs(h) <= target[i] * min(ti, 1.0):
+                t_new = ti
+            else:
+                if h > 0.0:
+                    t_hi[i] = ti
+                else:
+                    t_lo[i] = ti
+                slope = dot / ti
+                t_new = ti - h / slope if slope > 0.0 else 0.5 * (t_lo[i] + t_hi[i])
+                if not t_lo[i] < t_new < t_hi[i]:
+                    t_new = 0.5 * (t_lo[i] + t_hi[i])
+            if t_new == ti:  # converged, or bracket exhausted: t is exact
+                lam[live[i]] = 1.0 / ti
+                its[live[i]] = it
+            else:
+                t[i] = t_new
+                go.append(i)
+        if not go:
+            return lam, its
+        if len(go) < len(live):
+            C, E, CE = C[go], E[go], CE[go]
+            live, t_lo, t_hi, t, target = (
+                [v[i] for i in go] for v in (live, t_lo, t_hi, t, target)
+            )
     raise NumericError(
         "Luxemburg norm did not reach the modular tolerance "
-        f"(bracket [{1.0 / float(t_hi[0])}, {1.0 / float(t_lo[0])}], "
-        f"residual target {float(target[0]) * min(float(t[0]), 1.0)})"
+        f"(bracket [{1.0 / t_hi[0]}, {1.0 / t_lo[0]}], "
+        f"residual target {target[0] * min(t[0], 1.0)})"
     )
 
 
@@ -262,8 +224,9 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
     the same terms, in the same order, as the full-mesh function would give
     (p-terms, then q-terms, by ascending element, zero weights dropped).  The
     hats go through :func:`_luxemburg_roots` in blocks of ``_HAT_BLOCK``,
-    grouped by term count, so the norms equal the scalar root's bit for bit
-    at a total cost linear in the mesh size.
+    grouped by term count, so each norm equals the full-mesh function's
+    :func:`luxemburg_norm` bit for bit, at a total cost linear in the mesh
+    size.
     """
     p, q, mu, w = phase.at_quadrature(mesh, order)
     wmu = w * mu
@@ -334,8 +297,8 @@ def modular(
         s = np.abs(u.values_at(order))
     else:
         s = u.gradient_norms()[:, None]
-    p_part = _part_terms(s, p, w).value()
-    q_part = _part_terms(s, q, w * mu).value()
+    p_part = float(_part_terms(s, p, w)[0].sum())
+    q_part = float(_part_terms(s, q, w * mu)[0].sum())
     return ModularReport(p_part, q_part)
 
 
@@ -385,10 +348,9 @@ def luxemburg_report(
     """Like :func:`luxemburg_norm` but reporting the iteration count too."""
     if which not in ("value", "gradient", "sobolev"):
         raise ValueError(f"unknown norm variant {which!r}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    lam, its = _luxemburg_root(_collect_terms(u, phase, order, which), tol)
-    return LuxemburgResult(lam, its, which, tol)
+    coefs, expos = _collect_terms(u, phase, order, which)
+    lam, its = _luxemburg_roots(coefs[None], expos[None], tol)
+    return LuxemburgResult(float(lam[0]), int(its[0]), which, tol)
 
 
 def weighted_seminorm(
@@ -402,9 +364,8 @@ def weighted_seminorm(
     Vanishes whenever mu |u| vanishes at all quadrature samples, which is
     what makes it a seminorm rather than a norm.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return _luxemburg_root(_collect_terms(u, phase, order, "seminorm"), tol)[0]
+    coefs, expos = _collect_terms(u, phase, order, "seminorm")
+    return float(_luxemburg_roots(coefs[None], expos[None], tol)[0][0])
 
 
 @dataclass
@@ -446,13 +407,13 @@ def check_norm_modular(
     The exponent bounds are taken over the active quadrature samples, where
     the discrete modular lives.
     """
-    terms = _collect_terms(u, phase, order, which)
-    lam, _ = _luxemburg_root(terms, norm_tol)
-    rho = terms.value(1.0)
+    coefs, expos = _collect_terms(u, phase, order, which)
+    lam = float(_luxemburg_roots(coefs[None], expos[None], norm_tol)[0][0])
+    rho = float(coefs.sum())
     if lam == 0.0:
         return NormModularReport(0.0, rho, "zero", [("modular zero", -abs(rho))], tol)
-    e_lo = float(terms.expos.min())
-    e_hi = float(terms.expos.max())
+    e_lo = float(expos.min())
+    e_hi = float(expos.max())
     band = 10.0 * max(norm_tol, 1e-13)
 
     def rel(hi_side: float, lo_side: float) -> float:

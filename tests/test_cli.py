@@ -122,6 +122,14 @@ def test_eigen_linear_interval(tmp_path):
     assert out.exists()
 
 
+def test_eigen_rect_below_two(tmp_path, recwarn):
+    cfgpath = write_config(tmp_path, mesh={"kind": "rect", "nx": 8, "ny": 8})
+    assert main(["eigen", str(cfgpath), "--r", "1.8", "--no-timestamp"]) == 0
+    rep = read_report(tmp_path)
+    assert rep["r"] == 1.8 and rep["lambda"] > 0.0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_eigen_rejects_bad_exponent(tmp_path):
     cfgpath = write_config(tmp_path)
     assert main(["eigen", str(cfgpath), "--r", "0.5"]) == 2

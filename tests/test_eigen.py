@@ -99,6 +99,18 @@ def test_nonlinear_eigenvalue_r3_oracle():
     assert res.value == pytest.approx(exact, rel=5e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r", [1.5, 1.8])
+@pytest.mark.parametrize("n", [8, 16])
+def test_nonlinear_eigenvalue_rect_below_two(n, r):
+    # the corner triangles have all vertices on the boundary, so the load
+    # samples |u|^(r-2) u there at u = 0, where r < 2 makes the power infinite
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), n, n)
+    res = first_eigenvalue(mesh, r=r, tol=1e-10)
+    assert np.isfinite(res.value) and res.value > 0.0
+    assert rayleigh_quotient(res.eigenfunction, r) == pytest.approx(res.value, rel=1e-12)
+
+
 def test_eigenfunction_normalized_and_one_signed():
     mesh = build_interval_mesh(0.0, 1.0, 64)
     res = first_eigenvalue(mesh, r=2.0)

@@ -15,9 +15,7 @@ from dpkit.fields import DoublePhase, ScalarField, constant_phase
 from dpkit.modular import (
     DEFAULT_NORM_TOL,
     _HAT_BLOCK,
-    _PowerSum,
     _hat_norms,
-    _luxemburg_root,
     _luxemburg_roots,
     luxemburg_norm,
 )
@@ -33,6 +31,7 @@ from dpkit.properties import standard_phase_configs
 from dpkit.solve import weak_residual
 
 from conftest import sine_bump
+from luxemburg_reference import scalar_root
 
 MESHES = {
     "interval": build_interval_mesh(0.0, 1.0, 13),
@@ -80,8 +79,7 @@ def test_batched_roots_equal_scalar_roots(n_terms):
     coefs[0] = 0.0
     lam, its = _luxemburg_roots(coefs, expos, DEFAULT_NORM_TOL)
     for i in range(rows):
-        scalar = _luxemburg_root(_PowerSum(coefs[i], expos[i]), DEFAULT_NORM_TOL)
-        assert (lam[i], its[i]) == scalar
+        assert (lam[i], its[i]) == scalar_root(coefs[i], expos[i], DEFAULT_NORM_TOL)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkit.fem import DiscreteFunction, build_interval_mesh, interpolate
+from dpkit.errors import NumericError
+from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh, interpolate
 from dpkit.fields import ScalarField, constant_phase
 from dpkit.modular import (
+    DEFAULT_NORM_TOL,
+    _collect_terms,
+    _luxemburg_roots,
     check_norm_modular,
     luxemburg_norm,
     luxemburg_report,
@@ -20,8 +24,10 @@ from dpkit.modular import (
     uniform_convexity_probe,
     weighted_seminorm,
 )
+from dpkit.properties import standard_phase_configs
 
 from conftest import random_nodal, sine_bump
+from luxemburg_reference import scalar_root
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +117,81 @@ def test_luxemburg_rejects_bad_tolerance(interval_mesh, dp_phase):
     u = sine_bump(interval_mesh)
     with pytest.raises(ValueError):
         luxemburg_norm(u, dp_phase, "value", tol=0.0)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            luxemburg_report(u, dp_phase, "value", tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            weighted_seminorm(u, dp_phase, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check_norm_modular(u, dp_phase, "value", norm_tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# the one root-finder against the frozen scalar root
+
+REFERENCE_MESHES = {
+    "interval": build_interval_mesh(0.0, 1.0, 24),
+    "rect": build_rect_mesh((0.0, 1.0), (0.0, 1.5), 6, 5),
+}
+
+
+def reference_functions(mesh):
+    """A smooth bump, the zero function, and random functions below and
+    above unit norm, one of them with a nonzero trace."""
+    rng = np.random.default_rng(mesh.num_nodes)
+    return [
+        sine_bump(mesh, amplitude=1.7),
+        sine_bump(mesh, amplitude=0.0),
+        random_nodal(mesh, rng, scale=0.05),
+        random_nodal(mesh, rng, zero_boundary=False, scale=40.0),
+    ]
+
+
+@pytest.mark.parametrize("which", ["value", "gradient", "sobolev"])
+@pytest.mark.parametrize("config", [name for name, _ in standard_phase_configs(1)])
+@pytest.mark.parametrize("mesh_name", sorted(REFERENCE_MESHES))
+def test_norms_equal_frozen_scalar_root(mesh_name, config, which):
+    mesh = REFERENCE_MESHES[mesh_name]
+    phase = dict(standard_phase_configs(mesh.dim))[config]
+    for u in reference_functions(mesh):
+        terms = _collect_terms(u, phase, 4, which)
+        for tol in (DEFAULT_NORM_TOL, 1e-14, 1e-6):
+            rep = luxemburg_report(u, phase, which, tol)
+            assert (rep.norm, rep.iterations) == scalar_root(*terms, tol)
+        assert check_norm_modular(u, phase, which).norm == scalar_root(*terms, 1e-14)[0]
+        semi = scalar_root(*_collect_terms(u, phase, 4, "seminorm"), DEFAULT_NORM_TOL)
+        assert weighted_seminorm(u, phase) == semi[0]
+
+
+@pytest.mark.parametrize("expo", [1.01, 2.0, 3.5, 40.0])
+@pytest.mark.parametrize("coef", [1e-300, 1e-9, 0.37, 1.0, 2.5, 1e12])
+def test_one_term_root_equals_frozen_scalar_root(coef, expo):
+    coefs, expos = np.array([coef]), np.array([expo])
+    lam, its = _luxemburg_roots(coefs[None], expos[None], DEFAULT_NORM_TOL)
+    assert (lam[0], its[0]) == scalar_root(coefs, expos, DEFAULT_NORM_TOL)
+
+
+def test_solution_size_gradient_norm_equals_frozen_scalar_root():
+    # a 48x48 gradient norm, the size of a CLI solution_norm (the two corner
+    # triangles have zero gradient, so 2 * 4608 * 9 less 36 terms)
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 48, 48)
+    _, phase = standard_phase_configs(2)[2]
+    u = sine_bump(mesh, amplitude=3.0)
+    terms = _collect_terms(u, phase, 4, "gradient")
+    assert terms[0].size == 82908
+    rep = luxemburg_report(u, phase, "gradient")
+    assert (rep.norm, rep.iterations) == scalar_root(*terms, DEFAULT_NORM_TOL)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_modular_overflow_raises_the_frozen_message(interval_mesh):
+    phase = constant_phase(2.0, 400.0, 1.0, dim=3)
+    u = sine_bump(interval_mesh, amplitude=40.0)
+    with pytest.raises(NumericError) as expected:
+        scalar_root(*_collect_terms(u, phase, 4, "value"), DEFAULT_NORM_TOL)
+    with pytest.raises(NumericError) as got:
+        luxemburg_norm(u, phase, "value")
+    assert str(got.value) == str(expected.value)
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
