@@ -240,13 +240,7 @@ def cmd_solve(args) -> int:
     from .io import save_mesh, save_solution, save_vtk
     from .modular import luxemburg_norm
     from .operator import energy
-    from .solve import (
-        _dual_residual,
-        residual_norm,
-        solve_convection,
-        solve_monotone,
-        weak_residual,
-    )
+    from .solve import residual_norm, solve_convection, solve_monotone, weak_residual
 
     cfg = _load(args)
     opts = cfg.solver_options()
@@ -261,10 +255,7 @@ def cmd_solve(args) -> int:
         raise ConfigError("config has no problem to solve (add 'problem')")
     if term is not None:
         rep = solve_convection(phase, cfg.mesh, term, opts)
-        # the residual is recomputed at rep.u; the hat norms depend on the
-        # mesh and phase only, so the solve's own are reused
-        recomputed = _dual_residual(rep.u, term, phase, opts.order, rep.hat_norms)
-        weak = recomputed
+        recomputed = weak = weak_residual(rep.u, term, phase, opts.order, opts.norm_tol)
     else:
         rep = solve_monotone(phase, cfg.mesh, rhs, opts)
         recomputed = residual_norm(rep.u, phase, rhs, opts.order)

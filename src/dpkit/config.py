@@ -62,7 +62,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("norm_tol", "newton_tol", "outer_tol", "eigen_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and np.isfinite(v) and v > 0.0):
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (ok and np.isfinite(v) and v > 0.0):
                 raise ConfigError(f"tolerance {name} must be a positive number, got {v!r}")
 
 
@@ -118,6 +119,18 @@ def _number(data: dict, key: str, where: str, default=None, positive=False) -> f
     return float(v)
 
 
+def _integer(data: dict, key: str, where: str, default: int, minimum: int) -> int:
+    v = data.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}, got {v!r}")
+    return v
+
+
+def _coords(points: np.ndarray) -> dict:
+    """Bind the columns of points (m, dim) to the coordinate names x (and y)."""
+    return dict(zip(("x", "y"), points.T))
+
+
 def _build_mesh(spec, base_dir: Path) -> Mesh:
     if not isinstance(spec, dict):
         raise ConfigError("mesh spec must be an object")
@@ -125,9 +138,7 @@ def _build_mesh(spec, base_dir: Path) -> Mesh:
     if kind == "interval":
         a = _number(spec, "a", "mesh", default=0.0)
         b = _number(spec, "b", "mesh", default=1.0)
-        n = spec.get("n", 64)
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError(f"mesh.n must be a positive integer, got {n!r}")
+        n = _integer(spec, "n", "mesh", 64, 1)
         if not a < b:
             raise ConfigError(f"mesh interval needs a < b, got [{a}, {b}]")
         return build_interval_mesh(a, b, n)
@@ -137,10 +148,7 @@ def _build_mesh(spec, base_dir: Path) -> Mesh:
         for name, span in (("xspan", xspan), ("yspan", yspan)):
             if not (isinstance(span, list) and len(span) == 2 and span[0] < span[1]):
                 raise ConfigError(f"mesh.{name} must be [lo, hi] with lo < hi")
-        nx, ny = spec.get("nx", 16), spec.get("ny", 16)
-        for name, n in (("nx", nx), ("ny", ny)):
-            if not isinstance(n, int) or n < 1:
-                raise ConfigError(f"mesh.{name} must be a positive integer, got {n!r}")
+        nx, ny = _integer(spec, "nx", "mesh", 16, 1), _integer(spec, "ny", "mesh", 16, 1)
         return build_rect_mesh(tuple(xspan), tuple(yspan), nx, ny)
     if kind == "files":
         path = base_dir / _require(spec, "path", "mesh")
@@ -182,11 +190,7 @@ def _build_field(spec, mesh: Mesh, base_dir: Path, where: str) -> ScalarField:
         if kind == "expr":
             allowed = ("x", "y")[: mesh.dim]
             expr = parse_expression(str(_require(spec, "expr", where)), allowed)
-            if mesh.dim == 1:
-                return ScalarField.from_callable(lambda pts: expr(n=pts.shape[0], x=pts[:, 0]))
-            return ScalarField.from_callable(
-                lambda pts: expr(n=pts.shape[0], x=pts[:, 0], y=pts[:, 1])
-            )
+            return ScalarField.from_callable(lambda pts: expr(n=pts.shape[0], **_coords(pts)))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(
@@ -200,9 +204,7 @@ def _build_phase(spec, mesh: Mesh, base_dir: Path) -> DoublePhase:
     for name in ("p", "q", "mu"):
         if name not in spec:
             raise ConfigError(f"missing field spec 'fields.{name}'")
-    dim = spec.get("dim", mesh.dim)
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError(f"fields.dim must be a positive integer, got {dim!r}")
+    dim = _integer(spec, "dim", "fields", mesh.dim, 1)
     return DoublePhase(
         _build_field(spec["p"], mesh, base_dir, "fields.p"),
         _build_field(spec["q"], mesh, base_dir, "fields.q"),
@@ -216,11 +218,8 @@ def _term_evaluator(expr_text: str, mesh: Mesh):
     expr = parse_expression(expr_text, names)
 
     def fn(points, s, xi):
-        env = {"x": points[:, 0], "s": np.asarray(s), "xi1": np.asarray(xi)[:, 0]}
-        if mesh.dim == 2:
-            env["y"] = points[:, 1]
-            env["xi2"] = np.asarray(xi)[:, 1]
-        return expr(n=points.shape[0], **env)
+        grads = dict(zip(("xi1", "xi2"), np.asarray(xi).T))
+        return expr(n=points.shape[0], s=np.asarray(s), **_coords(points), **grads)
 
     return fn
 
@@ -247,9 +246,7 @@ def _build_problem(spec, mesh: Mesh, base_dir: Path):
             expr = parse_expression(str(_require(spec, "expr", "problem")), allowed)
         except ValueError as exc:
             raise ConfigError(f"problem.expr: {exc}") from exc
-        if mesh.dim == 1:
-            return None, lambda pts: expr(n=pts.shape[0], x=pts[:, 0]), None
-        return None, lambda pts: expr(n=pts.shape[0], x=pts[:, 0], y=pts[:, 1]), None
+        return None, lambda pts: expr(n=pts.shape[0], **_coords(pts)), None
     if kind == "term":
         try:
             fn = _term_evaluator(str(_require(spec, "expr", "problem")), mesh)
@@ -297,15 +294,13 @@ def parse_config(data: dict, base_dir=".") -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown tolerance name(s): {', '.join(sorted(unknown))}")
     tolerances = Tolerances(**tol_spec)
-    order = data.get("quadrature_order", DEFAULT_QUAD_ORDER)
-    if not isinstance(order, int) or not MIN_QUAD_ORDER <= order <= MAX_QUAD_ORDER:
+    order = _integer(data, "quadrature_order", "config", DEFAULT_QUAD_ORDER, MIN_QUAD_ORDER)
+    if order > MAX_QUAD_ORDER:
         raise ConfigError(
-            f"quadrature_order must be an integer in [{MIN_QUAD_ORDER}, {MAX_QUAD_ORDER}]"
+            f"config.quadrature_order must be at most {MAX_QUAD_ORDER}, got {order}"
         )
     eps_reg = _number(data, "eps_reg", "config", default=1e-8, positive=True)
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = _integer(data, "seed", "config", 0, 0)
     output_dir = Path(data.get("output_dir", "out"))
     if not output_dir.is_absolute():
         output_dir = base_dir / output_dir

@@ -130,6 +130,7 @@ class Mesh:
         self._quad_cache: dict[int, tuple] = {}
         self._field_bounds: dict = {}  # (field, order) -> (min, max), see fields.field_bounds
         self._phase_samples: dict = {}  # order -> (fields, samples): DoublePhase.at_quadrature
+        self._hat_norms: dict = {}  # (order, tol) -> (fields, norms): modular._hat_norms
         self._free_csr = None  # (indptr, indices, slot), built by scatter_free
 
     @property

@@ -16,10 +16,11 @@ usual quadratic tail.
 ``_luxemburg_roots`` is the one root-finder.  It solves a block of
 equal-length power sums at once: a single-function norm is a block of one
 row, and the hat-function norms (the dual-norm diagnostics) go through it in
-blocks of hats.  The sums over terms are vectorized over the rows (row sums,
-stacked ``matmul`` dot products, ``power`` of each row's t), while each row's
-bracket and step are taken in Python floats, so a row's result does not
-depend on the block it is solved in.
+blocks of hats, once per mesh, phase, tolerance and order.  The sums over
+terms are vectorized over the rows (row sums, stacked ``matmul`` dot
+products, ``power`` of each row's t), while each row's bracket and step are
+taken in Python floats, so a row's result does not depend on the block it is
+solved in.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from scipy.integrate import quad as _scipy_quad
 from scipy.optimize import brentq as _brentq
 
 from .errors import NumericError
-from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh
+from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh, _frozen
 from .fields import DoublePhase
 
 __all__ = [
@@ -217,7 +218,12 @@ _HAT_BLOCK = 256
 
 
 def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.ndarray:
-    """Gradient Luxemburg norms of the free-node hat functions, in node order.
+    """Read-only gradient Luxemburg norms of the free-node hats, in node order.
+
+    The mesh keeps the latest norms per (order, tol), keyed by the three
+    field objects as :meth:`DoublePhase.at_quadrature` keys its samples: a
+    solve and its residual checks build them once, and reassigning a field
+    (say ``phase.mu``) misses the cache.
 
     A hat's gradient is its local basis gradient on each element of its
     patch and zero elsewhere, so its power sum is built from the patch alone:
@@ -228,6 +234,10 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
     :func:`luxemburg_norm` bit for bit, at a total cost linear in the mesh
     size.
     """
+    fields = (phase.p, phase.q, phase.mu)
+    cached = mesh._hat_norms.get((order, tol))
+    if cached is not None and cached[0] == fields:
+        return cached[1]
     p, q, mu, w = phase.at_quadrature(mesh, order)
     wmu = w * mu
     # |grad phi| of each (element, local vertex), as gradient_norms() gives it
@@ -264,6 +274,7 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
             rows = np.flatnonzero(n_terms == n)
             idx = first[rows, None] + np.arange(n)
             block[rows] = _luxemburg_roots(coefs[idx], expos[idx], tol)[0]
+    mesh._hat_norms[(order, tol)] = (fields, _frozen(norms))
     return norms
 
 

@@ -296,7 +296,9 @@ def boundedness_estimate(
 
     The dual norm is estimated from below by maximizing <A(u), v>/||v|| over
     all free nodal hats plus ``n_random`` random zero-trace directions, with
-    ||.|| the gradient Luxemburg norm (built from each hat's element patch).
+    ||.|| the gradient Luxemburg norm (the hats' norms are built from their
+    element patches once per mesh, phase, tolerance and order, and shared
+    with :func:`dpkit.solve.weak_residual`).
     """
     mesh = u.mesh
     p_minus, _ = field_bounds(phase.p, mesh, order)

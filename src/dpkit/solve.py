@@ -9,11 +9,11 @@ fills in less than the default column ordering for general matrices.
 ``solve_convection`` handles
 A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
 relaxes the update, and halves the relaxation whenever the outer residual
-increases.  The outer residual is a dual-norm residual over the nodal hats;
-the hats' gradient Luxemburg norms are built from their element patches in
-one batched root-find, once per Picard solve, and returned on the report so
-a caller re-checking the residual at the returned iterate need not rebuild
-them.  Existence requires the coercivity margin of the declared growth
+increases.  The outer residual is :func:`weak_residual`, a dual-norm residual
+over the nodal hats; the hats' gradient Luxemburg norms are built from their
+element patches in one batched root-find and kept on the mesh, so the Picard
+loop and a caller re-checking the residual at the returned iterate share one
+build.  Existence requires the coercivity margin of the declared growth
 constants to be positive; that margin is checked before any iteration runs.
 """
 
@@ -137,10 +137,7 @@ class SolveReport:
 
     ``history`` holds the stopping-norm trajectory (residual max-norm for
     Newton, weak residual for Picard); ``energy_history`` holds the Newton
-    line-search merit 1/2 ||residual||_2^2 per accepted iterate.  A Picard
-    solve also returns ``hat_norms``, the free-node hats' gradient Luxemburg
-    norms its dual residual is scaled by; they depend on the mesh and phase
-    only.
+    line-search merit 1/2 ||residual||_2^2 per accepted iterate.
     """
 
     u: DiscreteFunction
@@ -152,7 +149,6 @@ class SolveReport:
     eigenvalue: float | None = None
     history: list = field(default_factory=list)
     energy_history: list = field(default_factory=list)
-    hat_norms: np.ndarray | None = None
 
 
 def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
@@ -270,18 +266,12 @@ def weak_residual(
 
     Returns max_i |<A(u), phi_i> - int f phi_i| / (1 + ||phi_i||) with the
     gradient Luxemburg norm of the hats, built from each hat's element patch
-    and solved for all hats in one batched root-find on every call; ``term``
-    may be a ConvectionTerm, a callable over points, a load vector, or None.
+    in one batched root-find once per mesh, phase, tol and order, then
+    reused; ``term`` may be a ConvectionTerm, a callable over points, a load
+    vector, or None.
     """
-    norms = _hat_norms(u.mesh, phase, norm_tol, order)
-    return _dual_residual(u, term, phase, order, norms)
-
-
-def _dual_residual(
-    u: DiscreteFunction, term, phase: DoublePhase, order: int, hat_norms: np.ndarray
-) -> float:
-    """:func:`weak_residual` with the hat norms already computed."""
     mesh = u.mesh
+    hat_norms = _hat_norms(mesh, phase, norm_tol, order)
     if isinstance(term, ConvectionTerm):
         load = _term_load(term, u, order)
     else:
@@ -325,8 +315,7 @@ def solve_convection(
     else:
         u = initial.zero_on_boundary() if not initial.zero_boundary else initial
     theta = opts.theta
-    hat_norms = _hat_norms(mesh, phase, opts.norm_tol, opts.order)
-    prev_res = _dual_residual(u, term, phase, opts.order, hat_norms)
+    prev_res = weak_residual(u, term, phase, opts.order, opts.norm_tol)
     history = [prev_res]
     for it in range(1, opts.max_outer + 1):
         load = _term_load(term, u, opts.order)
@@ -335,7 +324,7 @@ def solve_convection(
         while True:
             vals = (1.0 - theta) * u.values + theta * inner.u.values
             unew = DiscreteFunction(mesh, vals, zero_boundary=True)
-            res = _dual_residual(unew, term, phase, opts.order, hat_norms)
+            res = weak_residual(unew, term, phase, opts.order, opts.norm_tol)
             if res <= prev_res or res <= opts.weak_tol:
                 break
             theta *= 0.5
@@ -344,14 +333,15 @@ def solve_convection(
                     f"Picard relaxation exhausted (theta < {opts.min_theta}) at outer "
                     f"iteration {it} with residual {res:.3e}"
                 )
-        step = luxemburg_norm(unew - u, phase, "gradient", opts.norm_tol, opts.order)
-        u, prev_res = unew, res
         history.append(res)
-        if step <= opts.outer_tol and res <= opts.weak_tol:
-            return SolveReport(
-                u, True, res, newton_total, it, margin, eigenvalue, history,
-                hat_norms=hat_norms,
-            )
+        # the step norm is a full-mesh root, so it is taken only once the
+        # residual has passed
+        if res <= opts.weak_tol and (
+            luxemburg_norm(unew - u, phase, "gradient", opts.norm_tol, opts.order)
+            <= opts.outer_tol
+        ):
+            return SolveReport(unew, True, res, newton_total, it, margin, eigenvalue, history)
+        u, prev_res = unew, res
     raise NumericError(
         f"Picard iteration did not converge in {opts.max_outer} outer steps "
         f"(weak residual {prev_res:.3e})"
@@ -441,14 +431,14 @@ def verify_uniqueness(
 
     Requires p identically 2 and declared (c1, c2, rho) with positive margin
     1 - c1/lambda - c2/sqrt(lambda) (PreconditionError otherwise).  Runs
-    ``n_starts >= 2`` solves from independent initial guesses — zero-start
+    ``n_starts`` (2 or 3) solves from independent initial guesses — zero-start
     default, seeded random, scaled first eigenfunction — and reports the
     largest pairwise gradient-norm disagreement, along with sampled checks of
     the one-sided Lipschitz bound in s and linearity in xi.
     """
     opts = options or SolverOptions()
-    if n_starts < 2:
-        raise ValueError("need at least two starts to compare solutions")
+    if not 2 <= n_starts <= 3:
+        raise ValueError(f"n_starts must be 2 or 3, got {n_starts!r}")
     p_lo, p_hi = field_bounds(phase.p, mesh, opts.order)
     if abs(p_lo - 2.0) > 1e-12 or abs(p_hi - 2.0) > 1e-12:
         raise ValueError("the uniqueness regime requires p identically equal to 2")

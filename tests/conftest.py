@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh
+from dpkit.fem import DiscreteFunction, Mesh, build_interval_mesh, build_rect_mesh
 from dpkit.fields import constant_phase
 
 
@@ -19,6 +19,30 @@ def square_mesh():
 def dp_phase():
     """The reference configuration p=2, q=3, mu=1 with ambient dimension 3."""
     return constant_phase(2.0, 3.0, 1.0, dim=3)
+
+
+@pytest.fixture
+def hat_norm_builds(monkeypatch):
+    """Record the cache key of every hat-norm build on meshes made in the test.
+
+    Each mesh's hat-norm cache is filled once per build, so the fills counted
+    here are the cache misses.
+    """
+    builds = []
+
+    class CountingCache(dict):
+        def __setitem__(self, key, value):
+            builds.append(key)
+            super().__setitem__(key, value)
+
+    init = Mesh.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._hat_norms = CountingCache()
+
+    monkeypatch.setattr(Mesh, "__init__", counting_init)
+    return builds
 
 
 def random_nodal(mesh, rng, zero_boundary=True, scale=1.0):

@@ -165,17 +165,7 @@ def test_solve_rhs_expression_with_vtk(tmp_path):
     assert rep["residual_recomputed"] == pytest.approx(rep["residual"], rel=1e-14, abs=1e-300)
 
 
-def test_solve_convection_builds_hat_norms_once(tmp_path, monkeypatch):
-    import dpkit.solve
-
-    calls = []
-    original = dpkit.solve._hat_norms
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(dpkit.solve, "_hat_norms", counting)
+def test_solve_convection_builds_hat_norms_once(tmp_path, hat_norm_builds):
     # f = 1 + 0.2 xi satisfies |f| <= 1 + 0.2 |xi| and, by Young's
     # inequality, f s <= 0.1 |xi|^2 + 0.35 s^2 + 1
     cfgpath = write_config(
@@ -193,10 +183,30 @@ def test_solve_convection_builds_hat_norms_once(tmp_path, monkeypatch):
         },
     )
     assert main(["solve", str(cfgpath), "--no-timestamp"]) == 0
-    assert len(calls) == 1
+    # the Picard loop and the report's recomputed residual share one build
+    assert hat_norm_builds == [(4, 1e-12)]
     rep = read_report(tmp_path)
     assert rep["converged"] is True
     assert rep["residual_recomputed"] == rep["residual"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"seed": True},
+        {"quadrature_order": True},
+        {"mesh": {"kind": "interval", "n": True}},
+        {"mesh": {"kind": "rect", "nx": True}},
+        {"fields": {"p": 2.0, "q": 3.0, "mu": 1.0, "dim": True}},
+        {"tolerances": {"norm_tol": True}},
+    ],
+    ids=["seed", "quadrature_order", "n", "nx", "dim", "norm_tol"],
+)
+def test_boolean_where_a_number_is_expected_exits_two(tmp_path, capsys, extra):
+    cfgpath = write_config(tmp_path, problem={"kind": "rhs", "expr": "1"}, **extra)
+    assert main(["solve", str(cfgpath), "--no-timestamp"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_solve_without_problem_exits_two(tmp_path):

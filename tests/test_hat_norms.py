@@ -3,12 +3,14 @@
 The reference is the direct definition: each free-node hat as a full-mesh
 function, normed by ``luxemburg_norm``.  The patch-built norms must equal it
 bit for bit, since the dual-norm residual and the boundedness estimate are
-reported values.
+reported values.  The norms are cached on the mesh, so the tests also count
+builds: one per (mesh, field objects, tol, order).
 """
 
 import numpy as np
 import pytest
 
+import dpkit.solve
 from dpkit.errors import NumericError
 from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh
 from dpkit.fields import DoublePhase, ScalarField, constant_phase
@@ -27,8 +29,9 @@ from dpkit.operator import (
     boundedness_estimate,
     energy,
 )
+from dpkit.problems import manufactured_case
 from dpkit.properties import standard_phase_configs
-from dpkit.solve import weak_residual
+from dpkit.solve import solve_convection, verify_uniqueness, weak_residual
 
 from conftest import sine_bump
 from luxemburg_reference import scalar_root
@@ -118,10 +121,11 @@ def test_boundedness_empirical_matches_full_mesh_loop(mesh_name):
     assert res.empirical == empirical
 
 
-def test_weak_residual_follows_a_reassigned_weight():
+def test_weak_residual_follows_a_reassigned_weight(hat_norm_builds):
     """Results that sample mu at the quadrature points (through the per-mesh
-    sample cache) see a reassigned weight as a fresh phase would."""
-    mesh = MESHES["rect"]
+    sample and hat-norm caches) see a reassigned weight as a fresh phase
+    would."""
+    mesh = build_rect_mesh((0.0, 2.0), (-1.0, 0.5), 5, 4)
     p, q = ScalarField.constant(2.0), ScalarField.constant(3.0)
     phase = DoublePhase(p, q, ScalarField.constant(0.0), dim=3)
     zero = DiscreteFunction(mesh, np.zeros(mesh.num_nodes), zero_boundary=True)
@@ -134,9 +138,67 @@ def test_weak_residual_follows_a_reassigned_weight():
         "energy": lambda ph: energy(u, ph),
     }
     before = {name: fn(phase) for name, fn in results.items()}
+    assert len(hat_norm_builds) == 1
     phase.mu = ScalarField.constant(50.0)
     fresh_phase = DoublePhase(p, q, ScalarField.constant(50.0), dim=3)
     for name, fn in results.items():
         after, fresh = fn(phase), fn(fresh_phase)
         assert np.array_equal(after, fresh), name
         assert not np.array_equal(after, before[name]), name
+    # the reassigned mu and the fresh phase's own mu object each rebuild
+    assert len(hat_norm_builds) == 3
+
+
+def test_hat_norms_are_cached_per_tol_and_read_only(hat_norm_builds):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 6, 6)
+    _, phase = standard_phase_configs(mesh.dim)[2]
+    norms = _hat_norms(mesh, phase, DEFAULT_NORM_TOL, 4)
+    assert _hat_norms(mesh, phase, DEFAULT_NORM_TOL, 4) is norms
+    assert hat_norm_builds == [(4, DEFAULT_NORM_TOL)]
+    assert not norms.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        norms[0] = 1.0
+    loose = _hat_norms(mesh, phase, 1e-6, 4)
+    assert hat_norm_builds == [(4, DEFAULT_NORM_TOL), (4, 1e-6)]
+    assert np.array_equal(loose, full_mesh_hat_norms(mesh, phase, tol=1e-6))
+    # a changed norm_tol reaches the residual: it reads the loose norms
+    u = sine_bump(mesh)
+    weak_residual(u, None, phase, norm_tol=1e-6)
+    assert len(hat_norm_builds) == 2
+    assert _hat_norms(mesh, phase, DEFAULT_NORM_TOL, 4) is norms
+
+
+def test_boundedness_and_residual_share_one_build(hat_norm_builds):
+    mesh = build_interval_mesh(0.0, 1.0, 40)
+    _, phase = standard_phase_configs(mesh.dim)[2]
+    u = sine_bump(mesh)
+    boundedness_estimate(u, phase, n_random=2)
+    weak_residual(u, None, phase)
+    assert hat_norm_builds == [(4, DEFAULT_NORM_TOL)]
+
+
+def test_verify_uniqueness_builds_hat_norms_once(hat_norm_builds):
+    case = manufactured_case("convection-linear")
+    mesh = case.build_mesh(64)
+    rep = verify_uniqueness(case.phase, mesh, case.term, match_tol=1e-8)
+    assert rep.solutions == 3 and rep.passed
+    assert hat_norm_builds == [(4, DEFAULT_NORM_TOL)]
+
+
+def test_picard_loop_calls_the_module_weak_residual(monkeypatch):
+    """Every Picard residual, the initial one and each relaxation trial, is a
+    call of ``dpkit.solve.weak_residual`` looked up as a module global."""
+    returned = []
+    original = dpkit.solve.weak_residual
+
+    def counting(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(dpkit.solve, "weak_residual", counting)
+    case = manufactured_case("convection-linear")
+    mesh = case.build_mesh(64)
+    rep = solve_convection(case.phase, mesh, case.term)
+    # theta stays 1 on this case, so each outer step takes one trial
+    assert len(returned) == 1 + rep.outer_iterations
+    assert returned == rep.history

@@ -275,6 +275,13 @@ def test_uniqueness_multistart_agreement():
     assert rep.structure.passed
 
 
+@pytest.mark.parametrize("n_starts", [1, 4, 5])
+def test_uniqueness_rejects_undefined_start_counts(interval_mesh, n_starts):
+    case = manufactured_case("convection-linear")
+    with pytest.raises(ValueError, match="n_starts must be 2 or 3"):
+        verify_uniqueness(case.phase, interval_mesh, case.term, n_starts=n_starts)
+
+
 def test_uniqueness_requires_p_equal_two(interval_mesh):
     case = manufactured_case("convection-linear")
     phase = constant_phase(2.5, 3.0, 0.0, dim=3)
