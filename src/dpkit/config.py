@@ -106,17 +106,27 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _finite(v, what: str) -> float:
+    """``v`` as a float: it must be an int or float, not a bool, and finite."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an int too large for a float
+            x = np.inf
+        if np.isfinite(x):
+            return x
+    raise ConfigError(f"{what} must be a finite number, got {v!r}")
+
+
 def _number(data: dict, key: str, where: str, default=None, positive=False) -> float:
     if key not in data:
         if default is None:
             raise ConfigError(f"missing {key!r} in {where}")
         return default
-    v = data[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {v!r}")
+    v = _finite(data[key], f"{where}.{key}")
     if positive and v <= 0:
-        raise ConfigError(f"{where}.{key} must be positive, got {v!r}")
-    return float(v)
+        raise ConfigError(f"{where}.{key} must be positive, got {data[key]!r}")
+    return v
 
 
 def _integer(data: dict, key: str, where: str, default: int, minimum: int) -> int:
@@ -143,13 +153,17 @@ def _build_mesh(spec, base_dir: Path) -> Mesh:
             raise ConfigError(f"mesh interval needs a < b, got [{a}, {b}]")
         return build_interval_mesh(a, b, n)
     if kind == "rect":
-        xspan = spec.get("xspan", [0.0, 1.0])
-        yspan = spec.get("yspan", [0.0, 1.0])
-        for name, span in (("xspan", xspan), ("yspan", yspan)):
-            if not (isinstance(span, list) and len(span) == 2 and span[0] < span[1]):
+        spans = []
+        for name in ("xspan", "yspan"):
+            span = spec.get(name, [0.0, 1.0])
+            if not (isinstance(span, list) and len(span) == 2):
                 raise ConfigError(f"mesh.{name} must be [lo, hi] with lo < hi")
+            lo, hi = (_finite(v, f"mesh.{name}[{i}]") for i, v in enumerate(span))
+            if not lo < hi:
+                raise ConfigError(f"mesh.{name} must be [lo, hi] with lo < hi")
+            spans.append((lo, hi))
         nx, ny = _integer(spec, "nx", "mesh", 16, 1), _integer(spec, "ny", "mesh", 16, 1)
-        return build_rect_mesh(tuple(xspan), tuple(yspan), nx, ny)
+        return build_rect_mesh(spans[0], spans[1], nx, ny)
     if kind == "files":
         path = base_dir / _require(spec, "path", "mesh")
         try:
@@ -175,6 +189,7 @@ def _build_field(spec, mesh: Mesh, base_dir: Path, where: str) -> ScalarField:
                 raise ConfigError(
                     f"{where}.a must be a list of {mesh.dim} slope(s) for this mesh"
                 )
+            slope = [_finite(v, f"{where}.a[{i}]") for i, v in enumerate(slope)]
             return ScalarField.affine(slope, offset)
         if kind == "table":
             path = base_dir / _require(spec, "path", where)

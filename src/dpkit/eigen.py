@@ -49,8 +49,7 @@ def mass_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matrix:
 
 
 def _stiffness_local(mesh: Mesh) -> np.ndarray:
-    G = mesh.basis_gradients
-    return mesh.measures[:, None, None] * np.einsum("eid,ejd->eij", G, G)
+    return mesh.measures[:, None, None] * mesh.gram
 
 
 def _mass_local(mesh: Mesh, order: int) -> np.ndarray:

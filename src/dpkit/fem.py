@@ -9,9 +9,12 @@ functions with cached element gradients.
 Quadrature data has one owner: reference rules and their P1 basis are built
 once per (dimension, order), physical points and weights once per mesh and
 order, and every cached array is read-only, so an in-place edit raises.
-Element matrices are summed over all nodes by ``Mesh.scatter``, or straight
-into the free x free block by ``Mesh.scatter_free`` through a CSR pattern
-each mesh builds once, on first use.
+Each mesh also keeps, built on first use: the basis-gradient Gram block
+``Mesh.gram`` shared by Jacobian and stiffness assembly, the (p, q, mu)
+samples of ``DoublePhase.at_quadrature``, field bounds, hat norms, and the
+CSR pattern through which ``Mesh.scatter_free`` sums element matrices
+straight into the free x free block.  ``Mesh.scatter`` sums them over all
+nodes.
 """
 
 from __future__ import annotations
@@ -167,6 +170,13 @@ class Mesh:
             inv[:, 1, 1] = e1[:, 0] / det
             ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
             self.basis_gradients = np.einsum("vr,erd->evd", ref, inv)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only (nelems, nv, nv) Gram block of the basis gradients,
+        sum_d G_id G_jd, built on first use."""
+        G = self.basis_gradients
+        return _frozen(np.einsum("eid,ejd->eij", G, G))
 
     def reference_rule(self, order: int = DEFAULT_QUAD_ORDER) -> Quadrature:
         return gauss_interval(order) if self.dim == 1 else gauss_triangle(order)

@@ -51,18 +51,32 @@ __all__ = [
 DEFAULT_EPS_REG = 1e-8
 
 
-def _power0(s: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """s**expo with the convention 0**e = 0 (any e), elementwise."""
-    shape = np.broadcast_shapes(np.shape(s), np.shape(expo))
-    return np.power(s, expo, out=np.zeros(shape), where=s > 0.0)
+def _power0(s: np.ndarray, expo, shift: float = 0.0) -> np.ndarray:
+    """s**(expo + shift) with the convention 0**e = 0 (any e), elementwise.
+
+    The powers overwrite the one array that holds the exponents.
+    """
+    pos = s > 0.0
+    out = np.add(expo, shift, out=np.empty(np.broadcast(s, expo).shape))
+    np.power(s, out, out=out, where=pos)
+    np.copyto(out, 0.0, where=~pos)
+    return out
 
 
 def _flux_coefficients(u: DiscreteFunction, phase: DoublePhase, order: int) -> np.ndarray:
-    """Per-element quadrature sum of the power weight, shape (nelems,)."""
+    """Per-element quadrature sum of the power weight, shape (nelems,).
+
+    Works in place on two (nelems, nq) arrays: a Newton line search calls
+    this while a Jacobian factor is held.
+    """
     p, q, mu, w = phase.at_quadrature(u.mesh, order)
     s = u.gradient_norms()[:, None]
-    weight = _power0(s, p - 2.0) + mu * _power0(s, q - 2.0)
-    return np.sum(w * weight, axis=1)
+    weight = _power0(s, p, -2.0)
+    weight_q = _power0(s, q, -2.0)
+    weight_q *= mu
+    weight += weight_q
+    weight *= w
+    return np.sum(weight, axis=1)
 
 
 def energy(u: DiscreteFunction, phase: DoublePhase, order: int = DEFAULT_QUAD_ORDER) -> float:
@@ -148,24 +162,35 @@ def assemble_jacobian(
     """Regularized Jacobian of the residual, restricted to free nodes.
 
     Linearizing the flux g(s) grad u with s = sqrt(|grad u|^2 + eps_reg^2)
-    gives the per-element matrix  a_e I + b_e grad u (grad u)^T  with
-    a_e = sum_g w_g g(s) and b_e = sum_g w_g g'(s)/s; the result is symmetric
-    and positive semi-definite for p, q >= 2 (and positive definite along
-    the gradient direction for all p > 1).
+    gives the per-element matrix  a_e (G G^T)_e + b_e (G grad u)(G grad u)^T
+    with a_e = sum_g w_g g(s) and b_e = sum_g w_g g'(s)/s; the result is
+    symmetric and positive semi-definite for p, q >= 2 (and positive definite
+    along the gradient direction for all p > 1).  Only the two powers
+    s^{p-2} and s^{q-2} are taken: s is constant per element, so
+    b_e = sum_g w_g ((p-2) s^{p-2} + mu (q-2) s^{q-2}) / s^2.  The Gram block
+    G G^T is the mesh's cached :attr:`Mesh.gram`.
     """
     if eps_reg <= 0.0:
         raise ValueError("eps_reg must be positive")
     mesh = u.mesh
     p, q, mu, w = phase.at_quadrature(mesh, order)
-    s = np.hypot(u.gradient_norms()[:, None], eps_reg)
-    a = np.sum(w * (s ** (p - 2.0) + mu * s ** (q - 2.0)), axis=1)
-    b = np.sum(w * ((p - 2.0) * s ** (p - 4.0) + mu * (q - 2.0) * s ** (q - 4.0)), axis=1)
-    G = mesh.basis_gradients  # (nelems, nv, dim)
-    gram = np.einsum("eid,ejd->eij", G, G)
-    gdot = np.einsum("ed,evd->ev", u.gradients, G)
-    local = a[:, None, None] * gram + b[:, None, None] * np.einsum(
-        "ei,ej->eij", gdot, gdot
-    )
+    s = np.hypot(u.gradient_norms(), eps_reg)
+    # one phase at a time through two (nelems, nq) buffers, e - 2 and s^(e-2)
+    expo, power = np.empty_like(w), np.empty_like(w)
+    a, b = np.zeros(s.size), np.zeros(s.size)
+    for e, weight in ((p, 1.0), (q, mu)):
+        np.subtract(e, 2.0, out=expo)
+        np.power(s[:, None], expo, out=power)
+        power *= weight
+        a += np.einsum("eq,eq->e", w, power)
+        b += np.einsum("eq,eq,eq->e", w, expo, power)
+    del expo, power  # free them before the element matrices are built
+    b /= s  # twice, not by s * s, which underflows first
+    b /= s
+    gdot = np.einsum("ed,evd->ev", u.gradients, mesh.basis_gradients)
+    local = np.einsum("ei,ej->eij", gdot, gdot)
+    local *= b[:, None, None]
+    local += a[:, None, None] * mesh.gram
     return mesh.scatter_free(local)
 
 

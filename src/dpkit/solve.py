@@ -3,9 +3,15 @@
 ``solve_monotone`` handles  A(u) = rhs  by a damped Newton method: the exact
 residual is paired with the regularized Jacobian and a backtracking line
 search on 1/2 ||residual||^2.  The operator is strictly monotone, so the
-Jacobian is symmetric positive definite on the free nodes; each step factors
-it in a symmetric fill-reducing order (minimum degree on J^T + J), which
-fills in less than the default column ordering for general matrices.
+Jacobian is symmetric positive definite on the free nodes and changes little
+between late steps.  A step factors it in a symmetric fill-reducing order
+(minimum degree on J^T + J, which fills in less than the default column
+ordering for general matrices).  After a full step that lowered the residual
+max-norm a large enough factor is kept, and the next step solves by
+conjugate gradients preconditioned with it (inexact Newton, Eisenstat-Walker
+1996); when CG misses its tolerance within its iteration cap, or after a
+damped or non-decreasing step, the factor is dropped and the current
+Jacobian factored.  The factor lives only inside one call.
 ``solve_convection`` handles
 A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
 relaxes the update, and halves the relaxation whenever the outer residual
@@ -49,6 +55,15 @@ __all__ = [
     "weak_residual",
     "verify_uniqueness",
 ]
+
+# Inexact Newton steps: PCG stops once ||J delta + r||_2 <= PCG_RTOL ||r||_2;
+# past PCG_MAX_ITER iterations the step refactors J instead.  A factor with
+# fewer than PCG_MIN_FACTOR_NNZ stored entries is not kept: at about 1200,
+# on 1D and 2D meshes alike, refactoring costs as much as a 3-iteration PCG
+# solve, and a reused factor takes about 7.
+PCG_RTOL = 1e-6
+PCG_MAX_ITER = 20
+PCG_MIN_FACTOR_NNZ = 4096
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,10 @@ class SolveReport:
     ``history`` holds the stopping-norm trajectory (residual max-norm for
     Newton, weak residual for Picard); ``energy_history`` holds the Newton
     line-search merit 1/2 ||residual||_2^2 per accepted iterate.
+    ``factorizations`` counts sparse LU factorizations of the Newton
+    Jacobian and ``pcg_iterations`` the conjugate-gradient iterations of the
+    steps that reused an earlier factor; a Picard solve sums both over its
+    inner solves.
     """
 
     u: DiscreteFunction
@@ -149,6 +168,8 @@ class SolveReport:
     eigenvalue: float | None = None
     history: list = field(default_factory=list)
     energy_history: list = field(default_factory=list)
+    factorizations: int = 0
+    pcg_iterations: int = 0
 
 
 def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
@@ -162,6 +183,25 @@ def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
     return rhs
 
 
+def _pcg_step(jac, rhs: np.ndarray, lu) -> tuple:
+    """Solve jac x = rhs by CG preconditioned with ``lu``, the factor of an
+    earlier Jacobian; returns (x, iterations), with x None when CG misses
+    PCG_RTOL within PCG_MAX_ITER iterations or x is not finite."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    precond = spla.LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
+    x, info = spla.cg(
+        jac, rhs, rtol=PCG_RTOL, atol=0.0, maxiter=PCG_MAX_ITER, M=precond, callback=count
+    )
+    if info != 0 or not np.all(np.isfinite(x)):
+        return None, iterations
+    return x, iterations
+
+
 def solve_monotone(
     phase: DoublePhase,
     mesh: Mesh,
@@ -173,7 +213,9 @@ def solve_monotone(
 
     Stops when the residual max-norm over free nodes drops below
     ``options.newton_tol``; raises NumericError if the line search or the
-    iteration budget fails first.
+    iteration budget fails first.  Steps reuse a Jacobian factor as a CG
+    preconditioner while full steps lower the residual (see the module
+    docstring).
     """
     opts = options or SolverOptions()
     load = _as_load(mesh, rhs, opts.order)
@@ -184,22 +226,41 @@ def solve_monotone(
     free = mesh.free_nodes
     history = []
     merit = []
+    lu = None  # factor of an earlier Jacobian, kept only while full steps go well
+    factorizations = pcg_iterations = 0
     asm = assemble_residual(u, phase, load, opts.order)
     res_norm = asm.residual_norm
     history.append(res_norm)
     merit.append(0.5 * float(asm.residual @ asm.residual))
-    for it in range(opts.max_newton):
+    for it in range(opts.max_newton + 1):
         if res_norm <= opts.newton_tol:
             return SolveReport(
-                u, True, res_norm, it, history=history, energy_history=merit
+                u, True, res_norm, it, history=history, energy_history=merit,
+                factorizations=factorizations, pcg_iterations=pcg_iterations,
+            )
+        if it == opts.max_newton:
+            raise NumericError(
+                f"Newton did not converge in {opts.max_newton} iterations "
+                f"(residual {res_norm:.3e}, tol {opts.newton_tol:.3e})"
             )
         jac = assemble_jacobian(u, phase, opts.order, opts.eps_reg)
-        try:
-            delta = spla.spsolve(jac.tocsc(), -asm.residual, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # singular factorization
-            raise NumericError(f"Newton linear solve failed: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise NumericError("Newton linear solve produced non-finite update")
+        delta = None
+        if lu is not None:
+            delta, iterations = _pcg_step(jac, -asm.residual, lu)
+            pcg_iterations += iterations
+        if delta is None:
+            lu = None  # drop the old factor first: never two live factors
+            try:
+                # J is exactly symmetric, so its transpose is J in CSC format
+                lu = spla.splu(jac.T, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:  # singular factorization
+                raise NumericError(f"Newton linear solve failed: {exc}") from exc
+            factorizations += 1
+            delta = lu.solve(-asm.residual)
+            if not np.all(np.isfinite(delta)):
+                raise NumericError("Newton linear solve produced non-finite update")
+            if lu.nnz < PCG_MIN_FACTOR_NNZ:
+                lu = None
         phi0 = 0.5 * float(asm.residual @ asm.residual)
         slope = -2.0 * phi0  # directional derivative of phi along delta
         t = 1.0
@@ -212,23 +273,18 @@ def solve_monotone(
             if np.isfinite(phi) and phi <= phi0 + opts.armijo * t * slope:
                 break
             t *= 0.5
+            lu = None  # a damped step keeps no factor; freed before the next trial
         else:
             raise NumericError(
                 f"Newton line search stalled at residual {res_norm:.3e} "
                 f"(iteration {it})"
             )
         u, asm = trial, trial_asm
+        if not asm.residual_norm < res_norm:
+            lu = None
         res_norm = asm.residual_norm
         history.append(res_norm)
         merit.append(phi)
-    if res_norm <= opts.newton_tol:
-        return SolveReport(
-            u, True, res_norm, opts.max_newton, history=history, energy_history=merit
-        )
-    raise NumericError(
-        f"Newton did not converge in {opts.max_newton} iterations "
-        f"(residual {res_norm:.3e}, tol {opts.newton_tol:.3e})"
-    )
 
 
 def residual_norm(
@@ -306,12 +362,14 @@ def solve_convection(
             f"coercivity margin 1 - b1 - b2/lambda = {margin:.6g} is not positive; "
             "existence is not guaranteed for the declared growth constants"
         )
-    newton_total = 0
+    newton_total = factorizations = pcg_total = 0
     if initial is None:
         zero = DiscreteFunction(mesh, np.zeros(mesh.num_nodes), zero_boundary=True)
         warm = solve_monotone(phase, mesh, _term_load(term, zero, opts.order), opts)
         u = warm.u
         newton_total = warm.newton_iterations
+        factorizations = warm.factorizations
+        pcg_total = warm.pcg_iterations
     else:
         u = initial.zero_on_boundary() if not initial.zero_boundary else initial
     theta = opts.theta
@@ -321,6 +379,8 @@ def solve_convection(
         load = _term_load(term, u, opts.order)
         inner = solve_monotone(phase, mesh, load, opts, initial=u)
         newton_total += inner.newton_iterations
+        factorizations += inner.factorizations
+        pcg_total += inner.pcg_iterations
         while True:
             vals = (1.0 - theta) * u.values + theta * inner.u.values
             unew = DiscreteFunction(mesh, vals, zero_boundary=True)
@@ -340,7 +400,10 @@ def solve_convection(
             luxemburg_norm(unew - u, phase, "gradient", opts.norm_tol, opts.order)
             <= opts.outer_tol
         ):
-            return SolveReport(unew, True, res, newton_total, it, margin, eigenvalue, history)
+            return SolveReport(
+                unew, True, res, newton_total, it, margin, eigenvalue, history,
+                factorizations=factorizations, pcg_iterations=pcg_total,
+            )
         u, prev_res = unew, res
     raise NumericError(
         f"Picard iteration did not converge in {opts.max_outer} outer steps "

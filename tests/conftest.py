@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpkit.fem import DiscreteFunction, Mesh, build_interval_mesh, build_rect_mesh
-from dpkit.fields import constant_phase
+from dpkit.fields import DoublePhase, ScalarField, constant_phase
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,16 @@ def square_mesh():
 def dp_phase():
     """The reference configuration p=2, q=3, mu=1 with ambient dimension 3."""
     return constant_phase(2.0, 3.0, 1.0, dim=3)
+
+
+@pytest.fixture(scope="session")
+def crossing_phase():
+    """p = 1.8 + 0.4x crosses 2, q = 2.6 + 0.4y, mu = 0.2 + 0.8xy (2D meshes)."""
+    return DoublePhase(
+        ScalarField.affine([0.4, 0.0], 1.8),
+        ScalarField.affine([0.0, 0.4], 2.6),
+        ScalarField.from_callable(lambda pts: 0.2 + 0.8 * pts[:, 0] * pts[:, 1]),
+    )
 
 
 @pytest.fixture

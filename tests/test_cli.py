@@ -209,6 +209,30 @@ def test_boolean_where_a_number_is_expected_exits_two(tmp_path, capsys, extra):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "mesh, p",
+    [
+        ('"xspan": [false, true]', "2.0"),
+        ('"xspan": ["a", "b"]', "2.0"),
+        ('"yspan": [0, "1"]', "2.0"),
+        ('"xspan": [0, 1e400]', "2.0"),
+        ('"xspan": [0, 1' + "0" * 400 + "]", "2.0"),
+        ("", '{"kind": "affine", "a": [true, 0.0], "b": 2.0}'),
+    ],
+    ids=["bool-span", "string-span", "string-yspan", "overflow-span", "huge-int-span", "bool-slope"],
+)
+def test_bad_span_or_slope_element_exits_two(tmp_path, capsys, mesh, p):
+    cfgpath = tmp_path / "run.json"
+    cfgpath.write_text(
+        '{"mesh": {"kind": "rect", "nx": 4, "ny": 4' + (", " + mesh if mesh else "") + "}, "
+        '"fields": {"p": ' + p + ', "q": 3.0, "mu": 1.0}, '
+        '"problem": {"kind": "rhs", "expr": "1"}, "output_dir": "out"}'
+    )
+    assert main(["solve", str(cfgpath), "--no-timestamp"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_solve_without_problem_exits_two(tmp_path):
     cfgpath = write_config(tmp_path)
     assert main(["solve", str(cfgpath)]) == 2

@@ -129,6 +129,20 @@ def test_free_pattern_is_built_once_per_mesh(monkeypatch, dp_phase):
     assert again.nnz == nnz > 0
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [build_interval_mesh(0.0, 1.0, 9), build_rect_mesh((0.0, 2.0), (0.0, 1.0), 5, 4)],
+    ids=["interval", "rect"],
+)
+def test_gram_block_is_cached_read_only_and_exact(mesh):
+    G = mesh.basis_gradients
+    gram = mesh.gram
+    np.testing.assert_array_equal(gram, np.einsum("eid,ejd->eij", G, G))
+    assert mesh.gram is gram
+    with pytest.raises(ValueError):
+        gram[0, 0, 0] = 0.0
+
+
 def test_mesh_edges_unique_and_sorted(square_mesh):
     e = square_mesh.edges()
     assert np.all(e[:, 0] < e[:, 1])

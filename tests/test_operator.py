@@ -110,6 +110,34 @@ def test_jacobian_is_symmetric_and_psd(interval_mesh, dp_phase):
     assert eigs.min() >= -1e-12 * max(1.0, eigs.max())
 
 
+def _jacobian_four_powers(u, phase, eps_reg, order=4):
+    """The Jacobian as first written: b_e from the powers s^{p-4} and s^{q-4}."""
+    mesh = u.mesh
+    p, q, mu, w = phase.at_quadrature(mesh, order)
+    s = np.hypot(u.gradient_norms()[:, None], eps_reg)
+    a = np.sum(w * (s ** (p - 2.0) + mu * s ** (q - 2.0)), axis=1)
+    b = np.sum(w * ((p - 2.0) * s ** (p - 4.0) + mu * (q - 2.0) * s ** (q - 4.0)), axis=1)
+    G = mesh.basis_gradients
+    gram = np.einsum("eid,ejd->eij", G, G)
+    gdot = np.einsum("ed,evd->ev", u.gradients, G)
+    local = a[:, None, None] * gram + b[:, None, None] * np.einsum("ei,ej->eij", gdot, gdot)
+    return mesh.scatter_free(local)
+
+
+@pytest.mark.parametrize("eps_reg", [1e-8, 1e-12])
+@pytest.mark.parametrize("case", ["dp_phase", "crossing_phase"])
+def test_jacobian_matches_four_power_formula(request, interval_mesh, square_mesh, case, eps_reg):
+    phase = request.getfixturevalue(case)
+    mesh = interval_mesh if case == "dp_phase" else square_mesh
+    u = random_nodal(mesh, np.random.default_rng(6))
+    flat = np.zeros(mesh.num_nodes)  # s = eps_reg on every element
+    for v in (u, DiscreteFunction(mesh, flat, zero_boundary=True)):
+        jac = assemble_jacobian(v, phase, eps_reg=eps_reg)
+        ref = _jacobian_four_powers(v, phase, eps_reg)
+        np.testing.assert_array_equal(jac.indices, ref.indices)
+        np.testing.assert_allclose(jac.data, ref.data, rtol=1e-13, atol=0.0)
+
+
 def test_jacobian_matches_finite_difference_of_residual(interval_mesh, dp_phase):
     rng = np.random.default_rng(5)
     u = random_nodal(interval_mesh, rng)

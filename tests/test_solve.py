@@ -1,10 +1,13 @@
 """Nonlinear solvers: damped Newton, Picard with convection, uniqueness checks."""
 
+import types
+
 import numpy as np
 import pytest
 
+import dpkit.solve
 from dpkit.errors import NumericError, PreconditionError
-from dpkit.fem import DiscreteFunction, build_interval_mesh, interpolate
+from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh, interpolate
 from dpkit.fields import ScalarField, constant_phase
 from dpkit.problems import growth_example_term, manufactured_case
 from dpkit.solve import (
@@ -104,6 +107,48 @@ def test_builtin_iteration_counts_pinned(name, n, newton, outer):
     rep = case.solve(case.build_mesh(n))
     assert rep.converged
     assert (rep.newton_iterations, rep.outer_iterations) == (newton, outer)
+
+
+def _sine_forcing(pts):
+    return 1.0 + np.sin(np.pi * pts[:, 0]) * np.sin(2.0 * np.pi * pts[:, 1])
+
+
+def test_failed_pcg_refactors_every_step(monkeypatch, crossing_phase):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 16, 16)
+    reference = solve_monotone(crossing_phase, mesh, _sine_forcing)
+    tries = []
+
+    def failing_cg(A, b, **kwargs):
+        tries.append(b.size)
+        return np.zeros_like(b), 1  # info > 0: the iteration cap was hit
+
+    spla = types.SimpleNamespace(**vars(dpkit.solve.spla))
+    spla.cg = failing_cg
+    monkeypatch.setattr(dpkit.solve, "spla", spla)
+    rep = solve_monotone(crossing_phase, mesh, _sine_forcing)
+    assert rep.converged and rep.residual <= 1e-10
+    assert rep.newton_iterations == reference.newton_iterations
+    assert rep.factorizations == rep.newton_iterations
+    assert rep.pcg_iterations == 0
+    assert len(tries) == reference.newton_iterations - reference.factorizations > 0
+
+
+def test_small_factors_are_not_kept():
+    case = manufactured_case("dp-1d")
+    rep = case.solve(case.build_mesh(128))
+    assert rep.converged
+    assert rep.factorizations == rep.newton_iterations
+    assert rep.pcg_iterations == 0
+
+
+def test_newton_reuses_its_factor_on_a_variable_exponent_solve(crossing_phase):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    opts = SolverOptions()
+    rep = solve_monotone(crossing_phase, mesh, _sine_forcing, opts)
+    assert rep.converged
+    assert 1 <= rep.factorizations < rep.newton_iterations
+    assert rep.pcg_iterations >= rep.newton_iterations - rep.factorizations
+    assert residual_norm(rep.u, crossing_phase, _sine_forcing) <= opts.newton_tol
 
 
 def test_dp_solve_converges_and_is_symmetric():
