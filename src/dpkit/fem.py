@@ -6,15 +6,13 @@ works through the small surface defined here: physical quadrature points
 with weights, per-element basis gradients, and piecewise-linear nodal
 functions with cached element gradients.
 
-Quadrature data has one owner: reference rules and their P1 basis are built
-once per (dimension, order), physical points and weights once per mesh and
-order, and every cached array is read-only, so an in-place edit raises.
-Each mesh also keeps, built on first use: the basis-gradient Gram block
-``Mesh.gram`` shared by Jacobian and stiffness assembly, the (p, q, mu)
-samples of ``DoublePhase.at_quadrature``, field bounds, hat norms, and the
-CSR pattern through which ``Mesh.scatter_free`` sums element matrices
-straight into the free x free block.  ``Mesh.scatter`` sums them over all
-nodes.
+Reference rules and their P1 basis are built once per (dimension, order).
+A mesh keeps everything else it builds on first use in one cache,
+:meth:`Mesh.cached`, with one value per slot and every array read-only, so
+an in-place edit raises: quadrature points and weights per order, the
+Gram block ``Mesh.gram``, the free x free CSR pattern of ``Mesh.scatter_free``
+and, rebuilt when a field object changes, the (p, q, mu) samples of
+``DoublePhase.at_quadrature`` and the hat norms of ``modular._hat_norms``.
 """
 
 from __future__ import annotations
@@ -31,12 +29,6 @@ MAX_QUAD_ORDER = 8
 DEFAULT_QUAD_ORDER = 4
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark an array read-only (it is cached and shared) and return it."""
-    a.setflags(write=False)
-    return a
-
-
 class Quadrature:
     """A quadrature rule on the reference element (unit interval or triangle).
 
@@ -46,9 +38,11 @@ class Quadrature:
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray, order: int):
-        self.points = _frozen(np.array(points, dtype=float, ndmin=2))
-        self.weights = _frozen(np.array(weights, dtype=float))
-        self.basis = _frozen(reference_basis(self.points.shape[1], self.points))
+        self.points = np.array(points, dtype=float, ndmin=2)
+        self.weights = np.array(weights, dtype=float)
+        self.basis = reference_basis(self.points.shape[1], self.points)
+        for a in (self.points, self.weights, self.basis):
+            a.setflags(write=False)  # cached and shared
         self.order = int(order)
 
 
@@ -130,11 +124,7 @@ class Mesh:
         mask[self.boundary_nodes] = False
         self.free_nodes = np.flatnonzero(mask)
         self._init_geometry()
-        self._quad_cache: dict[int, tuple] = {}
-        self._field_bounds: dict = {}  # (field, order) -> (min, max), see fields.field_bounds
-        self._phase_samples: dict = {}  # order -> (fields, samples): DoublePhase.at_quadrature
-        self._hat_norms: dict = {}  # (order, tol) -> (fields, norms): modular._hat_norms
-        self._free_csr = None  # (indptr, indices, slot), built by scatter_free
+        self._cache: dict = {}  # slot -> (key, value), see cached
 
     @property
     def num_nodes(self) -> int:
@@ -171,12 +161,29 @@ class Mesh:
             ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
             self.basis_gradients = np.einsum("vr,erd->evd", ref, inv)
 
-    @functools.cached_property
+    def cached(self, slot, key: tuple, build):
+        """The value kept in ``slot`` if it was built for ``key``, else
+        ``build()`` with every array in it made read-only, which replaces it.
+
+        ``key`` holds the objects the value is built from, compared with
+        ``==`` (identity for fields), so a new key frees the old value.
+        """
+        hit = self._cache.get(slot)
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        value = build()
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        self._cache[slot] = (key, value)
+        return value
+
+    @property
     def gram(self) -> np.ndarray:
         """Read-only (nelems, nv, nv) Gram block of the basis gradients,
         sum_d G_id G_jd, built on first use."""
         G = self.basis_gradients
-        return _frozen(np.einsum("eid,ejd->eij", G, G))
+        return self.cached("gram", (), lambda: np.einsum("eid,ejd->eij", G, G))
 
     def reference_rule(self, order: int = DEFAULT_QUAD_ORDER) -> Quadrature:
         return gauss_interval(order) if self.dim == 1 else gauss_triangle(order)
@@ -190,14 +197,14 @@ class Mesh:
         arrays are built once per order and are read-only.
         """
         order = _check_order(order)
-        if order not in self._quad_cache:
+
+        def build():
             rule = self.reference_rule(order)
-            verts = self.nodes[self.elements]
-            pts = np.einsum("qv,evd->eqd", rule.basis, verts)
-            scale = self.measures / rule.weights.sum()
-            w = scale[:, None] * rule.weights[None, :]
-            self._quad_cache[order] = (_frozen(pts), _frozen(w), rule)
-        return self._quad_cache[order]
+            pts = np.einsum("qv,evd->eqd", rule.basis, self.nodes[self.elements])
+            w = (self.measures / rule.weights.sum())[:, None] * rule.weights[None, :]
+            return pts, w, rule
+
+        return self.cached(("quadrature", order), (), build)
 
     def basis_at(self, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
         """P1 basis values at the reference quadrature points, (nq, dim + 1)."""
@@ -225,9 +232,7 @@ class Mesh:
         touching a boundary node are dropped.  The result is in canonical CSR
         format, and symmetric local matrices give an exactly symmetric one.
         """
-        if self._free_csr is None:
-            self._free_csr = _free_pattern(self)
-        indptr, indices, slot = self._free_csr
+        indptr, indices, slot = self.cached("free_pattern", (), lambda: _free_pattern(self))
         nnz = indices.size
         data = np.bincount(slot, np.ravel(local), nnz + 1)[:nnz]
         n = self.free_nodes.size

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DEFAULT_QUAD_ORDER, Mesh, _frozen
+from .fem import DEFAULT_QUAD_ORDER, Mesh
 
 __all__ = [
     "ScalarField",
@@ -168,19 +168,20 @@ class DoublePhase:
     def at_quadrature(self, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER):
         """Read-only (p, q, mu, w) at the quadrature points, shape (nelems, nq).
 
-        The mesh keeps the latest samples per order, keyed by the three field
-        objects: reassigning a field (say ``phase.mu``) misses the cache, and
-        many phases on one mesh do not pile up samples.  Each fill checks that
-        the samples are finite (ValueError, as :meth:`validate` raises).
+        The mesh keeps the latest samples per order in :meth:`Mesh.cached`,
+        keyed by the three field objects: reassigning a field (say
+        ``phase.mu``) misses the cache, and a new phase frees the old samples.
+        Each fill checks that the samples are finite (ValueError, as
+        :meth:`validate` raises).
         """
-        key = (self.p, self.q, self.mu)
-        cached = mesh._phase_samples.get(order)
-        if cached is None or cached[0] != key:
+
+        def build():
             pts, w, _ = mesh.quadrature_points(order)
             pqmu = self.at(pts)
             _check_finite(pqmu)
-            cached = mesh._phase_samples[order] = (key, (*map(_frozen, pqmu), w))
-        return cached[1]
+            return (*pqmu, w)
+
+        return mesh.cached(("phase", order), (self.p, self.q, self.mu), build)
 
     def h_at(self, points, t):
         """The integrand H(x, t) = t^p(x) + mu(x) t^q(x) for t >= 0."""
@@ -283,14 +284,11 @@ def sample_pairs(mesh: Mesh, pair_budget: int = 2000, seed: int = 0):
 
 
 def field_bounds(field: ScalarField, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER):
-    """Exact (min, max) of the field over nodes + quadrature points, cached."""
-    key = (field, order)
-    if key not in mesh._field_bounds:
-        vals = field(sample_points(mesh, order))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field takes non-finite values on the sample set")
-        mesh._field_bounds[key] = (float(vals.min()), float(vals.max()))
-    return mesh._field_bounds[key]
+    """Exact (min, max) of the field over nodes + quadrature points, computed per call."""
+    vals = field(sample_points(mesh, order))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field takes non-finite values on the sample set")
+    return float(vals.min()), float(vals.max())
 
 
 def critical_exponent(p: ScalarField, x, dim: int) -> float:

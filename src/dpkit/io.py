@@ -72,9 +72,10 @@ def load_mesh(directory) -> Mesh:
     with open(bdry_path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     boundary = np.array([int(row[0]) for row in rows[1:]], dtype=np.intp)
-    if elements.size and elements.max() >= nodes.shape[0]:
+    n = nodes.shape[0]
+    if elements.size and (elements.min() < 0 or elements.max() >= n):
         raise ValueError("element connectivity references nonexistent nodes")
-    if boundary.size and boundary.max() >= nodes.shape[0]:
+    if boundary.size and (boundary.min() < 0 or boundary.max() >= n):
         raise ValueError("boundary list references nonexistent nodes")
     return Mesh(nodes, elements, boundary)
 

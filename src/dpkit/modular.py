@@ -34,7 +34,7 @@ from scipy.integrate import quad as _scipy_quad
 from scipy.optimize import brentq as _brentq
 
 from .errors import NumericError
-from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh, _frozen
+from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh
 from .fields import DoublePhase
 
 __all__ = [
@@ -220,10 +220,10 @@ _HAT_BLOCK = 256
 def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.ndarray:
     """Read-only gradient Luxemburg norms of the free-node hats, in node order.
 
-    The mesh keeps the latest norms per (order, tol), keyed by the three
-    field objects as :meth:`DoublePhase.at_quadrature` keys its samples: a
-    solve and its residual checks build them once, and reassigning a field
-    (say ``phase.mu``) misses the cache.
+    The mesh keeps the latest norms per (order, tol) in :meth:`Mesh.cached`,
+    keyed by the three field objects as :meth:`DoublePhase.at_quadrature`
+    keys its samples: a solve and its residual checks build them once, and
+    reassigning a field (say ``phase.mu``) misses the cache.
 
     A hat's gradient is its local basis gradient on each element of its
     patch and zero elsewhere, so its power sum is built from the patch alone:
@@ -234,10 +234,13 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
     :func:`luxemburg_norm` bit for bit, at a total cost linear in the mesh
     size.
     """
-    fields = (phase.p, phase.q, phase.mu)
-    cached = mesh._hat_norms.get((order, tol))
-    if cached is not None and cached[0] == fields:
-        return cached[1]
+    key = (phase.p, phase.q, phase.mu)
+    return mesh.cached(
+        ("hat_norms", order, tol), key, lambda: _patch_norms(mesh, phase, tol, order)
+    )
+
+
+def _patch_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.ndarray:
     p, q, mu, w = phase.at_quadrature(mesh, order)
     wmu = w * mu
     # |grad phi| of each (element, local vertex), as gradient_norms() gives it
@@ -274,7 +277,6 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
             rows = np.flatnonzero(n_terms == n)
             idx = first[rows, None] + np.arange(n)
             block[rows] = _luxemburg_roots(coefs[idx], expos[idx], tol)[0]
-    mesh._hat_norms[(order, tol)] = (fields, _frozen(norms))
     return norms
 
 

@@ -124,14 +124,6 @@ class OperatorAssembly:
         return float(np.max(np.abs(self.residual), initial=0.0))
 
 
-def _operator_residual_full(u: DiscreteFunction, phase: DoublePhase, order: int) -> np.ndarray:
-    """<A(u), phi_i> for every nodal hat, as a full-length vector."""
-    mesh = u.mesh
-    c = _flux_coefficients(u, phase, order)
-    edot = np.einsum("ed,evd->ev", u.gradients, mesh.basis_gradients)
-    return mesh.scatter_vector(c[:, None] * edot)
-
-
 def assemble_residual(
     u: DiscreteFunction,
     phase: DoublePhase,
@@ -144,7 +136,9 @@ def assemble_residual(
     for a zero right-hand side.
     """
     mesh = u.mesh
-    res = _operator_residual_full(u, phase, order)
+    c = _flux_coefficients(u, phase, order)
+    edot = np.einsum("ed,evd->ev", u.gradients, mesh.basis_gradients)
+    res = mesh.scatter_vector(c[:, None] * edot)
     if rhs is not None:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (mesh.num_nodes,):
@@ -331,7 +325,7 @@ def boundedness_estimate(
     norm_u = luxemburg_norm(u, phase, "gradient", order=order)
     bound = (q_plus / p_minus) * max(norm_u ** (q_plus - 1.0), norm_u ** (p_minus - 1.0))
 
-    pairings = _operator_residual_full(u, phase, order)[mesh.free_nodes]
+    pairings = assemble_residual(u, phase, None, order).residual
     hat_norms = _hat_norms(mesh, phase, DEFAULT_NORM_TOL, order)
     empirical = float(np.max(np.abs(pairings) / hat_norms, initial=0.0))
     rng = np.random.default_rng(seed)

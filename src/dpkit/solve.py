@@ -40,7 +40,6 @@ from .operator import (
     assemble_jacobian,
     assemble_load,
     assemble_residual,
-    _operator_residual_full,
 )
 
 __all__ = [
@@ -332,7 +331,7 @@ def weak_residual(
         load = _term_load(term, u, order)
     else:
         load = _as_load(mesh, term, order)
-    res = (_operator_residual_full(u, phase, order) - load)[mesh.free_nodes]
+    res = assemble_residual(u, phase, load, order).residual
     return float(np.max(np.abs(res) / (1.0 + hat_norms), initial=0.0))
 
 

@@ -33,25 +33,26 @@ def crossing_phase():
 
 @pytest.fixture
 def hat_norm_builds(monkeypatch):
-    """Record the cache key of every hat-norm build on meshes made in the test.
+    """Record the (order, tol) of every hat-norm build in the test.
 
-    Each mesh's hat-norm cache is filled once per build, so the fills counted
-    here are the cache misses.
+    A build runs only on a miss of the mesh's ``("hat_norms", order, tol)``
+    cache slot, so the builds counted here are the cache misses.
     """
     builds = []
+    cached = Mesh.cached
 
-    class CountingCache(dict):
-        def __setitem__(self, key, value):
-            builds.append(key)
-            super().__setitem__(key, value)
+    def counting_cached(self, slot, key, build):
+        if slot[0] != "hat_norms":
+            return cached(self, slot, key, build)
 
-    init = Mesh.__init__
+        def counted_build():
+            value = build()
+            builds.append(slot[1:])
+            return value
 
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self._hat_norms = CountingCache()
+        return cached(self, slot, key, counted_build)
 
-    monkeypatch.setattr(Mesh, "__init__", counting_init)
+    monkeypatch.setattr(Mesh, "cached", counting_cached)
     return builds
 
 

@@ -1,5 +1,7 @@
 """Meshes, quadrature, and P1 discrete functions."""
 
+import gc
+import weakref
 from math import factorial
 
 import numpy as np
@@ -23,9 +25,11 @@ from dpkit.fem import (
     interpolate,
     reference_basis,
 )
+from dpkit.fields import DoublePhase, ScalarField, field_bounds
 from dpkit.operator import assemble_jacobian, assemble_load
+from dpkit.solve import weak_residual
 
-from conftest import random_nodal
+from conftest import random_nodal, sine_bump
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +145,32 @@ def test_gram_block_is_cached_read_only_and_exact(mesh):
     assert mesh.gram is gram
     with pytest.raises(ValueError):
         gram[0, 0, 0] = 0.0
+
+
+def test_mesh_cache_frees_superseded_phases():
+    """Bounding, sampling and the dual-norm residual keep only the latest
+    phase on a mesh: the fields of the phases before it are freed."""
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 2, 2)
+    u = sine_bump(mesh)
+    refs = []
+    for k in range(3):
+        phase = DoublePhase(
+            ScalarField.affine([0.1 * k, 0.0], 2.0),
+            ScalarField.constant(3.0),
+            ScalarField.constant(1.0 + k),
+            dim=3,
+        )
+        refs.append([weakref.ref(f) for f in (phase.p, phase.q, phase.mu)])
+        field_bounds(phase.p, mesh)
+        phase.at_quadrature(mesh)
+        weak_residual(u, None, phase)
+    del phase
+    gc.collect()
+    assert [[r() is None for r in fields] for fields in refs] == [
+        [True, True, True],
+        [True, True, True],
+        [False, False, False],  # the latest phase stays cached
+    ]
 
 
 def test_mesh_edges_unique_and_sorted(square_mesh):

@@ -71,7 +71,7 @@ def test_field_bounds_cached_and_exact(interval_mesh):
     lo, hi = field_bounds(f, interval_mesh)
     assert lo == pytest.approx(1.5)
     assert hi == pytest.approx(2.5)
-    assert field_bounds(f, interval_mesh) == (lo, hi)  # cache hit
+    assert field_bounds(f, interval_mesh) == (lo, hi)  # the same bounds again
 
 
 def test_describe_roundtrips_kind():

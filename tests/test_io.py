@@ -1,8 +1,11 @@
 """CSV and VTK artifacts: round trips and format checks."""
 
+import json
+
 import numpy as np
 import pytest
 
+from dpkit.cli import main
 from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh
 from dpkit.io import (
     load_mesh,
@@ -101,9 +104,32 @@ def test_vtk_structure_1d(tmp_path, interval_mesh):
     assert lines[start].strip() == "3"  # VTK line element
 
 
-def test_load_mesh_rejects_bad_indices(tmp_path, interval_mesh):
+@pytest.mark.parametrize(
+    "name, row, bad_row",
+    [
+        ("elements.csv", "0,0,1", "0,0,99"),
+        ("elements.csv", "3,3,4", "3,3,-1"),
+        ("boundary.csv", "0", "-1"),
+    ],
+    ids=["element-past-end", "negative-element", "negative-boundary"],
+)
+def test_load_mesh_rejects_bad_indices(tmp_path, capsys, interval_mesh, name, row, bad_row):
     save_mesh(interval_mesh, tmp_path)
-    bad = (tmp_path / "elements.csv").read_text().replace("\n0,0,1\n", "\n0,0,99\n")
-    (tmp_path / "elements.csv").write_text(bad)
+    text = (tmp_path / name).read_text()
+    assert f"\n{row}\n" in text
+    (tmp_path / name).write_text(text.replace(f"\n{row}\n", f"\n{bad_row}\n"))
     with pytest.raises(ValueError):
         load_mesh(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "mesh": {"kind": "files", "path": "."},
+                "fields": {"p": 2.0, "q": 3.0, "mu": 1.0},
+                "problem": {"kind": "rhs", "expr": "1"},
+                "output_dir": "out",
+            }
+        )
+    )
+    assert main(["solve", str(cfg), "--no-timestamp"]) == 2
+    assert "configuration error: cannot load mesh" in capsys.readouterr().err
