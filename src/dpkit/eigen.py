@@ -9,7 +9,9 @@ K is symmetric positive definite, so it is factored once in a symmetric
 fill-reducing order (minimum degree on K^T + K).  For r != 2 a normalized
 inverse iteration is used: each step solves the monotone problem
 A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k and renormalizes; convergence is
-declared on Rayleigh-quotient stagnation.
+declared on Rayleigh-quotient stagnation.  The inner Newton solves share one
+:class:`dpkit.solve.FactorCarry`, so a step starts from the Jacobian factor
+the previous step kept.
 
 The margins below are the positivity conditions under which the convection
 problem is coercive (existence) and the p = 2 problem has a unique solution.
@@ -159,7 +161,7 @@ def _first_eigenvalue_linear(mesh, tol, order, max_iter) -> EigenResult:
 
 
 def _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter) -> EigenResult:
-    from .solve import SolverOptions, solve_monotone  # deferred: solver uses margins
+    from .solve import FactorCarry, SolverOptions, solve_monotone  # deferred: solver uses margins
 
     from .operator import _power0, assemble_load
 
@@ -170,13 +172,14 @@ def _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter) -> EigenResult:
     u = _normalized(_coordinate_bump(mesh), r, order)
     lam = rayleigh_quotient(u, r, order)
     opts = SolverOptions(newton_tol=min(1e-11, tol), order=order)
+    carry = FactorCarry()  # freed on return: the factor never outlives this solve
     history = []
     for it in range(1, max_iter + 1):
         uv = u.values_at(order)
         # 0**(r-2) = 0: for r < 2 the plain power gives 0 * inf = nan at u = 0
         samples = lam * _power0(np.abs(uv), r - 2.0) * uv
         load = assemble_load(mesh, samples, order)
-        sol = solve_monotone(phase_r, mesh, rhs=load, options=opts, initial=u)
+        sol = solve_monotone(phase_r, mesh, rhs=load, options=opts, initial=u, carry=carry)
         u = _normalized(sol.u, r, order)
         lam_new = rayleigh_quotient(u, r, order)
         history.append(abs(lam_new - lam))

@@ -1,12 +1,18 @@
 """File exchange: mesh CSV triplets, solution CSV and legacy VTK.
 
-All floats are written with 17 significant digits so that a load/dump round
-trip is bit-exact and reruns produce byte-identical artifacts.
+Every writer formats a whole table in one printf-style pass
+(:func:`_rows`): integers with ``%d`` and floats with ``%.17g``, the same
+17 significant digits as ``format(x, ".17g")``, so that a load/dump round
+trip is bit-exact and reruns produce byte-identical artifacts.  CSV files
+use commas and ``\\r\\n`` line ends, as Python's ``csv`` module writes them;
+VTK files use spaces and ``\\n``.  The readers place each row by its
+``node_index`` column, not by its position in the file.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +29,17 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _rows(row_fmt: str, *columns) -> str:
+    """All rows of a table as one string: ``row_fmt`` formats one row, line
+    end included, and ``columns`` are equal-length 1D arrays, one per field."""
+    cols = [np.asarray(c).tolist() for c in columns]
+    return (row_fmt * len(cols[0])) % tuple(chain.from_iterable(zip(*cols)))
+
+
+def _write_csv(path, header: list, row_fmt: str, *columns) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write(_rows(row_fmt + "\r\n", *columns))
 
 
 def save_mesh(mesh: Mesh, directory) -> None:
@@ -32,21 +47,17 @@ def save_mesh(mesh: Mesh, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     coords = ["x", "y"][: mesh.dim]
-    with open(directory / "nodes.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", *coords])
-        for i, row in enumerate(mesh.nodes):
-            writer.writerow([i, *map(_fmt, row)])
-    with open(directory / "elements.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element_index", *[f"v{k}" for k in range(mesh.dim + 1)]])
-        for i, row in enumerate(mesh.elements):
-            writer.writerow([i, *map(int, row)])
-    with open(directory / "boundary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index"])
-        for i in mesh.boundary_nodes:
-            writer.writerow([int(i)])
+    _write_csv(
+        directory / "nodes.csv", ["node_index", *coords],
+        ",".join(["%d"] + ["%.17g"] * mesh.dim),
+        np.arange(mesh.num_nodes), *mesh.nodes.T,
+    )
+    _write_csv(
+        directory / "elements.csv", ["element_index", *[f"v{k}" for k in range(mesh.dim + 1)]],
+        ",".join(["%d"] * (mesh.dim + 2)),
+        np.arange(mesh.num_elements), *mesh.elements.T,
+    )
+    _write_csv(directory / "boundary.csv", ["node_index"], "%d", mesh.boundary_nodes)
 
 
 def _read_rows(path: Path, what: str) -> list:
@@ -63,7 +74,14 @@ def load_mesh(directory) -> Mesh:
     """Rebuild a mesh from the CSV triplet written by :func:`save_mesh`."""
     directory = Path(directory)
     node_rows = _read_rows(directory / "nodes.csv", "node")
-    nodes = np.array([[float(v) for v in row[1:]] for row in node_rows])
+    index = np.array([int(row[0]) for row in node_rows], dtype=np.intp)
+    if index.size and (index.min() < 0 or index.max() >= index.size):
+        raise ValueError(f"node indices must lie in 0..{index.size - 1}")
+    if np.unique(index).size != index.size:
+        raise ValueError("node indices must list every node exactly once")
+    coords = np.array([[float(v) for v in row[1:]] for row in node_rows])
+    nodes = np.empty_like(coords)
+    nodes[index] = coords
     elem_rows = _read_rows(directory / "elements.csv", "element")
     elements = np.array([[int(v) for v in row[1:]] for row in elem_rows])
     bdry_path = directory / "boundary.csv"
@@ -84,11 +102,11 @@ def save_solution(path, u: DiscreteFunction) -> None:
     """Write ``node_index,x[,y],value`` rows for a nodal function."""
     mesh = u.mesh
     coords = ["x", "y"][: mesh.dim]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", *coords, "value"])
-        for i in range(mesh.num_nodes):
-            writer.writerow([i, *map(_fmt, mesh.nodes[i]), _fmt(u.values[i])])
+    _write_csv(
+        path, ["node_index", *coords, "value"],
+        ",".join(["%d"] + ["%.17g"] * (mesh.dim + 1)),
+        np.arange(mesh.num_nodes), *mesh.nodes.T, u.values,
+    )
 
 
 def load_solution(path, mesh: Mesh) -> np.ndarray:
@@ -126,22 +144,22 @@ def save_vtk(path, u: DiscreteFunction, name: str = "u") -> None:
     mesh = u.mesh
     cell_type = 3 if mesh.dim == 1 else 5  # VTK_LINE / VTK_TRIANGLE
     nverts = mesh.dim + 1
+    pad = [np.zeros(mesh.num_nodes)] * (3 - mesh.dim)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{name} on a {mesh.dim}d mesh\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.num_nodes} double\n")
-        for row in mesh.nodes:
-            padded = list(row) + [0.0] * (3 - mesh.dim)
-            fh.write(" ".join(map(_fmt, padded)) + "\n")
+        fh.write(_rows("%.17g %.17g %.17g\n", *mesh.nodes.T, *pad))
         fh.write(f"CELLS {mesh.num_elements} {mesh.num_elements * (nverts + 1)}\n")
-        for row in mesh.elements:
-            fh.write(" ".join(map(str, [nverts, *map(int, row)])) + "\n")
+        fh.write(
+            _rows(
+                " ".join(["%d"] * (nverts + 1)) + "\n",
+                np.full(mesh.num_elements, nverts), *mesh.elements.T,
+            )
+        )
         fh.write(f"CELL_TYPES {mesh.num_elements}\n")
-        for _ in range(mesh.num_elements):
-            fh.write(f"{cell_type}\n")
+        fh.write(f"{cell_type}\n" * mesh.num_elements)
         fh.write(f"POINT_DATA {mesh.num_nodes}\n")
         fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        for v in u.values:
-            fh.write(_fmt(v) + "\n")
-
+        fh.write(_rows("%.17g\n", u.values))

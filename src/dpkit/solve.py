@@ -11,16 +11,24 @@ max-norm a large enough factor is kept, and the next step solves by
 conjugate gradients preconditioned with it (inexact Newton, Eisenstat-Walker
 1996); when CG misses its tolerance within its iteration cap, or after a
 damped or non-decreasing step, the factor is dropped and the current
-Jacobian factored.  The factor lives only inside one call.
+Jacobian factored.  A caller making a sequence of related solves on one
+mesh can pass a :class:`FactorCarry`: the call takes the factor from it at
+entry, so its first step already solves by PCG, and puts back the factor it
+kept when it returns.  ``solve_convection`` threads one carry through its
+warm solve and every inner solve, and the r != 2 eigen iteration one
+through its inner solves; each carry is a local of its caller, so the
+factor is freed when that caller returns.  No factor is cached on the mesh.
 ``solve_convection`` handles
 A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
 relaxes the update, and halves the relaxation whenever the outer residual
 increases.  The outer residual is :func:`weak_residual`, a dual-norm residual
-over the nodal hats; the hats' gradient Luxemburg norms are built from their
-element patches in one batched root-find and kept on the mesh, so the Picard
-loop and a caller re-checking the residual at the returned iterate share one
-build.  Existence requires the coercivity margin of the declared growth
-constants to be positive; that margin is checked before any iteration runs.
+over the nodal hats, evaluated with the frozen load of the trial iterate,
+which the next inner solve then reuses; the hats' gradient Luxemburg norms
+are built from their element patches in one batched root-find and kept on
+the mesh, so the Picard loop and a caller re-checking the residual at the
+returned iterate share one build.  Existence requires the coercivity
+margin of the declared growth constants to be positive; that margin is
+checked before any iteration runs.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .operator import (
 
 __all__ = [
     "SolverOptions",
+    "FactorCarry",
     "ConvectionTerm",
     "SolveReport",
     "UniquenessReport",
@@ -171,6 +180,21 @@ class SolveReport:
     pcg_iterations: int = 0
 
 
+class FactorCarry:
+    """Holder that carries a Newton Jacobian factor from one
+    :func:`solve_monotone` call to the next on the same mesh.
+
+    ``lu`` is the factor the last call kept, or None.  A call empties the
+    holder at entry, so it never holds a second live factor, and writes back
+    the factor it kept when it converges; a call that raises leaves it empty.
+    """
+
+    __slots__ = ("lu",)
+
+    def __init__(self):
+        self.lu = None
+
+
 def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
     if rhs is None:
         return np.zeros(mesh.num_nodes)
@@ -207,6 +231,8 @@ def solve_monotone(
     rhs=None,
     options: SolverOptions | None = None,
     initial: DiscreteFunction | None = None,
+    *,
+    carry: FactorCarry | None = None,
 ) -> SolveReport:
     """Solve A(u) = rhs with zero boundary values by damped Newton.
 
@@ -214,7 +240,10 @@ def solve_monotone(
     ``options.newton_tol``; raises NumericError if the line search or the
     iteration budget fails first.  Steps reuse a Jacobian factor as a CG
     preconditioner while full steps lower the residual (see the module
-    docstring).
+    docstring).  Without ``carry`` the factor lives only inside this call.
+    With it, the call starts from the factor in ``carry.lu``, if any, and
+    its first step solves by PCG preconditioned with it; at return it
+    stores the factor it kept (None when the last step kept none).
     """
     opts = options or SolverOptions()
     load = _as_load(mesh, rhs, opts.order)
@@ -226,6 +255,8 @@ def solve_monotone(
     history = []
     merit = []
     lu = None  # factor of an earlier Jacobian, kept only while full steps go well
+    if carry is not None:
+        lu, carry.lu = carry.lu, None
     factorizations = pcg_iterations = 0
     asm = assemble_residual(u, phase, load, opts.order)
     res_norm = asm.residual_norm
@@ -233,6 +264,8 @@ def solve_monotone(
     merit.append(0.5 * float(asm.residual @ asm.residual))
     for it in range(opts.max_newton + 1):
         if res_norm <= opts.newton_tol:
+            if carry is not None:
+                carry.lu = lu
             return SolveReport(
                 u, True, res_norm, it, history=history, energy_history=merit,
                 factorizations=factorizations, pcg_iterations=pcg_iterations,
@@ -362,9 +395,12 @@ def solve_convection(
             "existence is not guaranteed for the declared growth constants"
         )
     newton_total = factorizations = pcg_total = 0
+    carry = FactorCarry()
     if initial is None:
         zero = DiscreteFunction(mesh, np.zeros(mesh.num_nodes), zero_boundary=True)
-        warm = solve_monotone(phase, mesh, _term_load(term, zero, opts.order), opts)
+        warm = solve_monotone(
+            phase, mesh, _term_load(term, zero, opts.order), opts, carry=carry
+        )
         u = warm.u
         newton_total = warm.newton_iterations
         factorizations = warm.factorizations
@@ -372,18 +408,21 @@ def solve_convection(
     else:
         u = initial.zero_on_boundary() if not initial.zero_boundary else initial
     theta = opts.theta
-    prev_res = weak_residual(u, term, phase, opts.order, opts.norm_tol)
+    # the frozen load of the current iterate: built once, it serves both the
+    # weak residual and the next inner solve
+    load = _term_load(term, u, opts.order)
+    prev_res = weak_residual(u, load, phase, opts.order, opts.norm_tol)
     history = [prev_res]
     for it in range(1, opts.max_outer + 1):
-        load = _term_load(term, u, opts.order)
-        inner = solve_monotone(phase, mesh, load, opts, initial=u)
+        inner = solve_monotone(phase, mesh, load, opts, initial=u, carry=carry)
         newton_total += inner.newton_iterations
         factorizations += inner.factorizations
         pcg_total += inner.pcg_iterations
         while True:
             vals = (1.0 - theta) * u.values + theta * inner.u.values
             unew = DiscreteFunction(mesh, vals, zero_boundary=True)
-            res = weak_residual(unew, term, phase, opts.order, opts.norm_tol)
+            load = _term_load(term, unew, opts.order)
+            res = weak_residual(unew, load, phase, opts.order, opts.norm_tol)
             if res <= prev_res or res <= opts.weak_tol:
                 break
             theta *= 0.5

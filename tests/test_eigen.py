@@ -1,8 +1,11 @@
 """First Dirichlet eigenvalues of the r-Laplacian and the derived margins."""
 
+import types
+
 import numpy as np
 import pytest
 
+import dpkit.solve
 from dpkit.eigen import (
     coercivity_margin,
     first_eigenvalue,
@@ -109,6 +112,28 @@ def test_nonlinear_eigenvalue_rect_below_two(n, r):
     res = first_eigenvalue(mesh, r=r, tol=1e-10)
     assert np.isfinite(res.value) and res.value > 0.0
     assert rayleigh_quotient(res.eigenfunction, r) == pytest.approx(res.value, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "r, value", [(3.0, 63.95691464787868), (1.5, 10.152136488049136)]
+)
+def test_nonlinear_eigen_steps_carry_the_newton_factor(monkeypatch, r, value):
+    factorizations = []
+    splu = dpkit.solve.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    spla = types.SimpleNamespace(**vars(dpkit.solve.spla))
+    spla.splu = counting_splu
+    monkeypatch.setattr(dpkit.solve, "spla", spla)
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 16, 16)
+    res = first_eigenvalue(mesh, r=r, tol=1e-10)
+    # without the carry every inner Newton solve factors at least once
+    assert len(factorizations) < res.iterations
+    # value: the eigenvalue computed with a fresh factor in every inner solve
+    assert abs(res.value - value) <= 1e-10 * value
 
 
 def test_eigenfunction_normalized_and_one_signed():

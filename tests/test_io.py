@@ -1,12 +1,13 @@
 """CSV and VTK artifacts: round trips and format checks."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from dpkit.cli import main
-from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh
+from dpkit.fem import DiscreteFunction, Mesh, build_interval_mesh, build_rect_mesh
 from dpkit.io import (
     load_mesh,
     load_node_table,
@@ -110,8 +111,16 @@ def test_vtk_structure_1d(tmp_path, interval_mesh):
         ("elements.csv", "0,0,1", "0,0,99"),
         ("elements.csv", "3,3,4", "3,3,-1"),
         ("boundary.csv", "0", "-1"),
+        ("nodes.csv", "1,0.03125", "0,0.03125"),
+        ("nodes.csv", "1,0.03125", "33,0.03125"),
     ],
-    ids=["element-past-end", "negative-element", "negative-boundary"],
+    ids=[
+        "element-past-end",
+        "negative-element",
+        "negative-boundary",
+        "duplicate-node",
+        "node-past-end",
+    ],
 )
 def test_load_mesh_rejects_bad_indices(tmp_path, capsys, interval_mesh, name, row, bad_row):
     save_mesh(interval_mesh, tmp_path)
@@ -133,3 +142,111 @@ def test_load_mesh_rejects_bad_indices(tmp_path, capsys, interval_mesh, name, ro
     )
     assert main(["solve", str(cfg), "--no-timestamp"]) == 2
     assert "configuration error: cannot load mesh" in capsys.readouterr().err
+
+
+def test_load_mesh_places_nodes_by_index(tmp_path, square_mesh):
+    save_mesh(square_mesh, tmp_path)
+    header, *rows = (tmp_path / "nodes.csv").read_text().splitlines()
+    # each row keeps its own node_index; only the order in the file changes
+    (tmp_path / "nodes.csv").write_text("\n".join([header, *rows[::-1]]) + "\n")
+    loaded = load_mesh(tmp_path)
+    assert loaded.nodes.tobytes() == square_mesh.nodes.tobytes()
+    np.testing.assert_array_equal(loaded.elements, square_mesh.elements)
+
+
+# Reference writers: the row-by-row csv.writer and _fmt formatting that the
+# one-pass table formatting in dpkit.io must reproduce byte for byte.
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _reference_save_mesh(mesh, directory):
+    coords = ["x", "y"][: mesh.dim]
+    with open(directory / "nodes.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_index", *coords])
+        for i, row in enumerate(mesh.nodes):
+            writer.writerow([i, *map(_fmt, row)])
+    with open(directory / "elements.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["element_index", *[f"v{k}" for k in range(mesh.dim + 1)]])
+        for i, row in enumerate(mesh.elements):
+            writer.writerow([i, *map(int, row)])
+    with open(directory / "boundary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_index"])
+        for i in mesh.boundary_nodes:
+            writer.writerow([int(i)])
+
+
+def _reference_save_solution(path, u):
+    mesh = u.mesh
+    coords = ["x", "y"][: mesh.dim]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_index", *coords, "value"])
+        for i in range(mesh.num_nodes):
+            writer.writerow([i, *map(_fmt, mesh.nodes[i]), _fmt(u.values[i])])
+
+
+def _reference_save_vtk(path, u, name="u"):
+    mesh = u.mesh
+    cell_type = 3 if mesh.dim == 1 else 5
+    nverts = mesh.dim + 1
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"{name} on a {mesh.dim}d mesh\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.num_nodes} double\n")
+        for row in mesh.nodes:
+            padded = list(row) + [0.0] * (3 - mesh.dim)
+            fh.write(" ".join(map(_fmt, padded)) + "\n")
+        fh.write(f"CELLS {mesh.num_elements} {mesh.num_elements * (nverts + 1)}\n")
+        for row in mesh.elements:
+            fh.write(" ".join(map(str, [nverts, *map(int, row)])) + "\n")
+        fh.write(f"CELL_TYPES {mesh.num_elements}\n")
+        for _ in range(mesh.num_elements):
+            fh.write(f"{cell_type}\n")
+        fh.write(f"POINT_DATA {mesh.num_nodes}\n")
+        fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        for v in u.values:
+            fh.write(_fmt(v) + "\n")
+
+
+def _edge_value_mesh(dim):
+    """A mesh whose coordinates include -0.0, a subnormal and negatives."""
+    if dim == 1:
+        base = build_interval_mesh(-1e300, 0.0, 6)
+    else:
+        base = build_rect_mesh((-3.0, 0.0), (-1.0, 1.0), 4, 3)
+    nodes = base.nodes.copy()
+    nodes[nodes == 0.0] = -0.0
+    nodes[np.argmax(nodes[:, 0]), 0] = 5e-324
+    return Mesh(nodes, base.elements, base.boundary_nodes)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_writers_match_the_row_by_row_reference(tmp_path, dim):
+    mesh = _edge_value_mesh(dim)
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal(mesh.num_nodes) * 10.0 ** rng.integers(-30, 30, mesh.num_nodes)
+    values[:4] = [-0.0, 5e-324, 1e300, -2.5]
+    u = DiscreteFunction(mesh, values)
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    new.mkdir()
+    ref.mkdir()
+    save_mesh(mesh, new)
+    save_solution(new / "solution.csv", u)
+    save_vtk(new / "solution.vtk", u)
+    _reference_save_mesh(mesh, ref)
+    _reference_save_solution(ref / "solution.csv", u)
+    _reference_save_vtk(ref / "solution.vtk", u)
+    for name in ["nodes.csv", "elements.csv", "boundary.csv", "solution.csv", "solution.vtk"]:
+        assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+    loaded = load_mesh(new)
+    assert loaded.nodes.tobytes() == mesh.nodes.tobytes()
+    assert loaded.elements.tobytes() == mesh.elements.tobytes()
+    assert loaded.boundary_nodes.tobytes() == mesh.boundary_nodes.tobytes()
+    assert load_solution(new / "solution.csv", mesh).tobytes() == values.tobytes()

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import dpkit.solve
+from dpkit.config import parse_config
 from dpkit.errors import NumericError, PreconditionError
 from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh, interpolate
 from dpkit.fields import ScalarField, constant_phase
 from dpkit.problems import growth_example_term, manufactured_case
 from dpkit.solve import (
+    PCG_MIN_FACTOR_NNZ,
     ConvectionTerm,
+    FactorCarry,
     SolverOptions,
     check_growth,
     residual_norm,
@@ -151,6 +154,50 @@ def test_newton_reuses_its_factor_on_a_variable_exponent_solve(crossing_phase):
     assert residual_norm(rep.u, crossing_phase, _sine_forcing) <= opts.newton_tol
 
 
+def test_carried_factor_preconditions_the_next_solve(monkeypatch, crossing_phase):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    carry = FactorCarry()
+    first = solve_monotone(crossing_phase, mesh, _sine_forcing, carry=carry)
+    kept = carry.lu
+    assert kept is not None and kept.nnz >= PCG_MIN_FACTOR_NNZ
+    second = solve_monotone(
+        crossing_phase, mesh, lambda pts: 1.05 * _sine_forcing(pts), initial=first.u,
+        carry=carry,
+    )
+    assert second.converged and second.newton_iterations >= 1
+    assert second.factorizations == 0 and second.pcg_iterations > 0
+    assert carry.lu is kept
+
+    # a failed PCG step factors again, and the carry is empty while it does
+    held = []
+    splu = dpkit.solve.spla.splu
+
+    def checked_splu(*args, **kwargs):
+        held.append(carry.lu)
+        return splu(*args, **kwargs)
+
+    spla = types.SimpleNamespace(**vars(dpkit.solve.spla))
+    spla.splu = checked_splu
+    spla.cg = lambda A, b, **kwargs: (np.zeros_like(b), 1)
+    monkeypatch.setattr(dpkit.solve, "spla", spla)
+    third = solve_monotone(
+        crossing_phase, mesh, lambda pts: 1.1 * _sine_forcing(pts), initial=second.u,
+        carry=carry,
+    )
+    assert third.converged and third.factorizations == third.newton_iterations >= 1
+    assert held == [None] * third.factorizations
+    assert carry.lu is not None and carry.lu is not kept
+
+
+def test_small_factors_are_not_carried():
+    case = manufactured_case("dp-1d")
+    carry = FactorCarry()
+    mesh = case.build_mesh(128)
+    rep = solve_monotone(case.phase, mesh, lambda x: np.ones(x.shape[0]), carry=carry)
+    assert rep.converged and rep.factorizations == rep.newton_iterations
+    assert carry.lu is None
+
+
 def test_dp_solve_converges_and_is_symmetric():
     case = manufactured_case("dp-1d")
     mesh = case.build_mesh(128)
@@ -230,6 +277,80 @@ def test_convection_linear_reproduces_exact_solution():
     assert rep.coercivity is not None and rep.coercivity > 0.0
     assert rep.residual <= 1e-8
     assert case.l2_error(rep.u) <= 5e-5
+
+
+# the 16x16 convection config that CI replays; its Newton factors are kept
+CONVECTION_2D = {
+    "mesh": {"kind": "rect", "nx": 16, "ny": 16},
+    "fields": {
+        "p": 2.0,
+        "q": {"kind": "affine", "a": [0.4, 0.0], "b": 2.6},
+        "mu": {"kind": "expr", "expr": "0.2 + 0.8*x*y"},
+    },
+    "problem": {
+        "kind": "term",
+        "expr": "1 + 0.5*sin(pi*x)*sin(pi*y) + 0.2*xi1",
+        "r": 2.0,
+        "a1": 0.2,
+        "a2": 0.0,
+        "alpha": 1.5,
+        "b1": 0.1,
+        "b2": 0.35,
+        "omega": 2.25,
+    },
+}
+
+
+def test_convection_carries_the_factor_across_picard_steps():
+    cfg = parse_config(CONVECTION_2D)
+    opts = cfg.solver_options()
+    rep = solve_convection(cfg.phase, cfg.mesh, cfg.term, opts)
+    assert rep.converged
+    assert rep.factorizations < 1 + rep.outer_iterations
+    weak = weak_residual(rep.u, cfg.term, cfg.phase, opts.order, opts.norm_tol)
+    assert weak <= opts.weak_tol
+
+
+def test_convection_refactors_when_pcg_fails(monkeypatch):
+    cfg = parse_config(CONVECTION_2D)
+    reference = solve_convection(cfg.phase, cfg.mesh, cfg.term)
+
+    def failing_cg(A, b, **kwargs):
+        return np.zeros_like(b), 1  # info > 0: the iteration cap was hit
+
+    spla = types.SimpleNamespace(**vars(dpkit.solve.spla))
+    spla.cg = failing_cg
+    monkeypatch.setattr(dpkit.solve, "spla", spla)
+    rep = solve_convection(cfg.phase, cfg.mesh, cfg.term)
+    assert rep.converged and rep.residual <= 1e-8
+    assert rep.newton_iterations == reference.newton_iterations
+    assert rep.outer_iterations == reference.outer_iterations
+    assert rep.factorizations == rep.newton_iterations
+    assert rep.pcg_iterations == 0
+
+
+def test_picard_builds_each_frozen_load_once(monkeypatch):
+    loads, residuals = [], []
+    term_load, weak = dpkit.solve._term_load, dpkit.solve.weak_residual
+
+    def counting_load(*args, **kwargs):
+        loads.append(term_load(*args, **kwargs))
+        return loads[-1]
+
+    def counting_weak(u, term, *args, **kwargs):
+        residuals.append(term)
+        return weak(u, term, *args, **kwargs)
+
+    monkeypatch.setattr(dpkit.solve, "_term_load", counting_load)
+    monkeypatch.setattr(dpkit.solve, "weak_residual", counting_weak)
+    cfg = parse_config(CONVECTION_2D)
+    rep = solve_convection(cfg.phase, cfg.mesh, cfg.term)
+    assert rep.converged
+    # the warm load, then one per weak residual: the initial one and one per
+    # Picard trial, each the very load that residual was given
+    assert len(residuals) == len(rep.history) == 1 + rep.outer_iterations
+    assert len(loads) == 1 + len(residuals)
+    assert all(r is load for r, load in zip(residuals, loads[1:]))
 
 
 def test_convection_requires_positive_margin(interval_mesh):
