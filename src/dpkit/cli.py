@@ -35,9 +35,9 @@ def _apply_threads(threads: int | None) -> None:
         try:
             threads = int(env)
         except ValueError:
-            raise SystemExit(f"DPKIT_THREADS must be an integer, got {env!r}")
+            raise ValueError(f"DPKIT_THREADS must be an integer, got {env!r}") from None
     if threads < 1:
-        raise SystemExit("--threads must be at least 1")
+        raise ValueError("--threads must be at least 1")
     for var in _THREAD_VARS:
         os.environ[var] = str(threads)
 
@@ -365,7 +365,10 @@ def cmd_convergence(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
+    try:
+        _apply_threads(args.threads)
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2, like any other usage error
     from .errors import ConfigError, NumericError, PreconditionError
 
     try:

@@ -45,7 +45,7 @@ from .fem import (
     build_rect_mesh,
 )
 from .fields import DoublePhase, ScalarField
-from .io import load_mesh, load_node_table
+from .io import _check_node_index, load_mesh, load_node_table
 from .problems import ManufacturedCase, manufactured_case
 from .solve import ConvectionTerm, SolverOptions
 
@@ -195,6 +195,7 @@ def _build_field(spec, mesh: Mesh, base_dir: Path, where: str) -> ScalarField:
             path = base_dir / _require(spec, "path", where)
             try:
                 idx, vals = load_node_table(path)
+                _check_node_index(idx, mesh.num_nodes)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot load table {path}: {exc}") from exc
             values = np.full(mesh.num_nodes, np.nan)

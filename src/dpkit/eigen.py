@@ -10,8 +10,7 @@ fill-reducing order (minimum degree on K^T + K).  For r != 2 a normalized
 inverse iteration is used: each step solves the monotone problem
 A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k and renormalizes; convergence is
 declared on Rayleigh-quotient stagnation.  The inner Newton solves share one
-:class:`dpkit.solve.FactorCarry`, so a step starts from the Jacobian factor
-the previous step kept.
+:class:`dpkit.solve.FactorCarry` (see its docstring for the factor rules).
 
 The margins below are the positivity conditions under which the convection
 problem is coercive (existence) and the p = 2 problem has a unique solution.

@@ -70,26 +70,28 @@ def _read_rows(path: Path, what: str) -> list:
     return rows[1:]  # drop header
 
 
+def _check_node_index(index: np.ndarray, num_nodes: int) -> None:
+    """Raise ValueError unless each entry names one of ``num_nodes`` nodes
+    and no node is named twice."""
+    if index.size and (index.min() < 0 or index.max() >= num_nodes):
+        raise ValueError(f"node indices must lie in 0..{num_nodes - 1}")
+    if np.unique(index).size != index.size:
+        raise ValueError("node indices must not repeat")
+
+
 def load_mesh(directory) -> Mesh:
     """Rebuild a mesh from the CSV triplet written by :func:`save_mesh`."""
     directory = Path(directory)
     node_rows = _read_rows(directory / "nodes.csv", "node")
     index = np.array([int(row[0]) for row in node_rows], dtype=np.intp)
-    if index.size and (index.min() < 0 or index.max() >= index.size):
-        raise ValueError(f"node indices must lie in 0..{index.size - 1}")
-    if np.unique(index).size != index.size:
-        raise ValueError("node indices must list every node exactly once")
+    _check_node_index(index, index.size)
     coords = np.array([[float(v) for v in row[1:]] for row in node_rows])
     nodes = np.empty_like(coords)
     nodes[index] = coords
     elem_rows = _read_rows(directory / "elements.csv", "element")
     elements = np.array([[int(v) for v in row[1:]] for row in elem_rows])
-    bdry_path = directory / "boundary.csv"
-    if not bdry_path.is_file():
-        raise FileNotFoundError(f"missing boundary file {bdry_path}")
-    with open(bdry_path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    boundary = np.array([int(row[0]) for row in rows[1:]], dtype=np.intp)
+    bdry_rows = _read_rows(directory / "boundary.csv", "boundary")
+    boundary = np.array([int(row[0]) for row in bdry_rows], dtype=np.intp)
     n = nodes.shape[0]
     if elements.size and (elements.min() < 0 or elements.max() >= n):
         raise ValueError("element connectivity references nonexistent nodes")

@@ -4,21 +4,9 @@
 residual is paired with the regularized Jacobian and a backtracking line
 search on 1/2 ||residual||^2.  The operator is strictly monotone, so the
 Jacobian is symmetric positive definite on the free nodes and changes little
-between late steps.  A step factors it in a symmetric fill-reducing order
-(minimum degree on J^T + J, which fills in less than the default column
-ordering for general matrices).  After a full step that lowered the residual
-max-norm a large enough factor is kept, and the next step solves by
-conjugate gradients preconditioned with it (inexact Newton, Eisenstat-Walker
-1996); when CG misses its tolerance within its iteration cap, or after a
-damped or non-decreasing step, the factor is dropped and the current
-Jacobian factored.  A caller making a sequence of related solves on one
-mesh can pass a :class:`FactorCarry`: the call takes the factor from it at
-entry, so its first step already solves by PCG, and puts back the factor it
-kept when it returns.  ``solve_convection`` threads one carry through its
-warm solve and every inner solve, and the r != 2 eigen iteration one
-through its inner solves; each carry is a local of its caller, so the
-factor is freed when that caller returns.  No factor is cached on the mesh.
-``solve_convection`` handles
+between late steps; the Newton steps are solved by a :class:`FactorCarry`,
+which reuses a factor of an earlier Jacobian as a CG preconditioner (its
+docstring states the rules).  ``solve_convection`` handles
 A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
 relaxes the update, and halves the relaxation whenever the outer residual
 increases.  The outer residual is :func:`weak_residual`, a dual-norm residual
@@ -64,11 +52,9 @@ __all__ = [
     "verify_uniqueness",
 ]
 
-# Inexact Newton steps: PCG stops once ||J delta + r||_2 <= PCG_RTOL ||r||_2;
-# past PCG_MAX_ITER iterations the step refactors J instead.  A factor with
-# fewer than PCG_MIN_FACTOR_NNZ stored entries is not kept: at about 1200,
-# on 1D and 2D meshes alike, refactoring costs as much as a 3-iteration PCG
-# solve, and a reused factor takes about 7.
+# FactorCarry's limits.  Small factors are not kept because at about 1200
+# stored entries, on 1D and 2D meshes alike, refactoring costs as much as a
+# 3-iteration PCG solve, and a reused factor takes about 7.
 PCG_RTOL = 1e-6
 PCG_MAX_ITER = 20
 PCG_MIN_FACTOR_NNZ = 4096
@@ -163,8 +149,8 @@ class SolveReport:
     line-search merit 1/2 ||residual||_2^2 per accepted iterate.
     ``factorizations`` counts sparse LU factorizations of the Newton
     Jacobian and ``pcg_iterations`` the conjugate-gradient iterations of the
-    steps that reused an earlier factor; a Picard solve sums both over its
-    inner solves.
+    steps that reused an earlier factor; a Picard solve reports both summed
+    over its inner solves.
     """
 
     u: DiscreteFunction
@@ -181,18 +167,63 @@ class SolveReport:
 
 
 class FactorCarry:
-    """Holder that carries a Newton Jacobian factor from one
-    :func:`solve_monotone` call to the next on the same mesh.
+    """The Newton linear solver of :func:`solve_monotone`, which keeps a
+    factor of an earlier Jacobian to precondition later steps (inexact
+    Newton, Eisenstat-Walker 1996).  ``solve(jac, rhs)`` applies every
+    factor rule:
 
-    ``lu`` is the factor the last call kept, or None.  A call empties the
-    holder at entry, so it never holds a second live factor, and writes back
-    the factor it kept when it converges; a call that raises leaves it empty.
+    - with a kept factor ``lu``, it first tries conjugate gradients
+      preconditioned with it, to ||J x - rhs||_2 <= PCG_RTOL ||rhs||_2
+      within PCG_MAX_ITER iterations;
+    - when CG misses that or returns non-finite values, the kept factor is
+      dropped before J is factored, so two factors are never live at once;
+    - J is factored in a symmetric fill-reducing order (minimum degree on
+      J^T + J fills in less than the default column ordering), and a
+      singular or non-finite solve raises NumericError;
+    - the new factor is kept only if it has at least PCG_MIN_FACTOR_NNZ
+      stored entries.
+
+    The caller drops ``lu`` after a damped or non-decreasing Newton step.
+    ``factorizations`` and ``pcg_iterations`` count the work of every solve
+    made through the object.  One carry passed to a sequence of related
+    solves on one mesh lets each call start by PCG with the factor the last
+    one kept; ``solve_convection`` and the r != 2 eigen iteration keep theirs
+    as a local, so the factor is freed when they return.  No factor is
+    cached on the mesh.
     """
 
-    __slots__ = ("lu",)
+    __slots__ = ("lu", "factorizations", "pcg_iterations")
 
     def __init__(self):
         self.lu = None
+        self.factorizations = 0
+        self.pcg_iterations = 0
+
+    def solve(self, jac, rhs: np.ndarray) -> np.ndarray:
+        if self.lu is not None:
+            def count(_):
+                self.pcg_iterations += 1
+
+            precond = spla.LinearOperator(jac.shape, matvec=self.lu.solve, dtype=float)
+            x, info = spla.cg(
+                jac, rhs, rtol=PCG_RTOL, atol=0.0, maxiter=PCG_MAX_ITER, M=precond,
+                callback=count,
+            )
+            if info == 0 and np.all(np.isfinite(x)):
+                return x
+            self.lu = None
+        try:
+            # J is exactly symmetric, so its transpose is J in CSC format
+            lu = spla.splu(jac.T, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # singular factorization
+            raise NumericError(f"Newton linear solve failed: {exc}") from exc
+        self.factorizations += 1
+        x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise NumericError("Newton linear solve produced non-finite update")
+        if lu.nnz >= PCG_MIN_FACTOR_NNZ:
+            self.lu = lu
+        return x
 
 
 def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
@@ -204,25 +235,6 @@ def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
     if rhs.shape != (mesh.num_nodes,):
         raise ValueError("rhs must be a callable or a full-node load vector")
     return rhs
-
-
-def _pcg_step(jac, rhs: np.ndarray, lu) -> tuple:
-    """Solve jac x = rhs by CG preconditioned with ``lu``, the factor of an
-    earlier Jacobian; returns (x, iterations), with x None when CG misses
-    PCG_RTOL within PCG_MAX_ITER iterations or x is not finite."""
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    precond = spla.LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
-    x, info = spla.cg(
-        jac, rhs, rtol=PCG_RTOL, atol=0.0, maxiter=PCG_MAX_ITER, M=precond, callback=count
-    )
-    if info != 0 or not np.all(np.isfinite(x)):
-        return None, iterations
-    return x, iterations
 
 
 def solve_monotone(
@@ -238,12 +250,9 @@ def solve_monotone(
 
     Stops when the residual max-norm over free nodes drops below
     ``options.newton_tol``; raises NumericError if the line search or the
-    iteration budget fails first.  Steps reuse a Jacobian factor as a CG
-    preconditioner while full steps lower the residual (see the module
-    docstring).  Without ``carry`` the factor lives only inside this call.
-    With it, the call starts from the factor in ``carry.lu``, if any, and
-    its first step solves by PCG preconditioned with it; at return it
-    stores the factor it kept (None when the last step kept none).
+    iteration budget fails first.  The steps are solved by ``carry``, or
+    by a fresh :class:`FactorCarry` that lives only inside this call; the
+    report counts only the factorizations and PCG iterations of this call.
     """
     opts = options or SolverOptions()
     load = _as_load(mesh, rhs, opts.order)
@@ -254,21 +263,18 @@ def solve_monotone(
     free = mesh.free_nodes
     history = []
     merit = []
-    lu = None  # factor of an earlier Jacobian, kept only while full steps go well
-    if carry is not None:
-        lu, carry.lu = carry.lu, None
-    factorizations = pcg_iterations = 0
+    linear = carry if carry is not None else FactorCarry()
+    factorizations0, pcg_iterations0 = linear.factorizations, linear.pcg_iterations
     asm = assemble_residual(u, phase, load, opts.order)
     res_norm = asm.residual_norm
     history.append(res_norm)
     merit.append(0.5 * float(asm.residual @ asm.residual))
     for it in range(opts.max_newton + 1):
         if res_norm <= opts.newton_tol:
-            if carry is not None:
-                carry.lu = lu
             return SolveReport(
                 u, True, res_norm, it, history=history, energy_history=merit,
-                factorizations=factorizations, pcg_iterations=pcg_iterations,
+                factorizations=linear.factorizations - factorizations0,
+                pcg_iterations=linear.pcg_iterations - pcg_iterations0,
             )
         if it == opts.max_newton:
             raise NumericError(
@@ -276,23 +282,7 @@ def solve_monotone(
                 f"(residual {res_norm:.3e}, tol {opts.newton_tol:.3e})"
             )
         jac = assemble_jacobian(u, phase, opts.order, opts.eps_reg)
-        delta = None
-        if lu is not None:
-            delta, iterations = _pcg_step(jac, -asm.residual, lu)
-            pcg_iterations += iterations
-        if delta is None:
-            lu = None  # drop the old factor first: never two live factors
-            try:
-                # J is exactly symmetric, so its transpose is J in CSC format
-                lu = spla.splu(jac.T, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:  # singular factorization
-                raise NumericError(f"Newton linear solve failed: {exc}") from exc
-            factorizations += 1
-            delta = lu.solve(-asm.residual)
-            if not np.all(np.isfinite(delta)):
-                raise NumericError("Newton linear solve produced non-finite update")
-            if lu.nnz < PCG_MIN_FACTOR_NNZ:
-                lu = None
+        delta = linear.solve(jac, -asm.residual)
         phi0 = 0.5 * float(asm.residual @ asm.residual)
         slope = -2.0 * phi0  # directional derivative of phi along delta
         t = 1.0
@@ -305,7 +295,7 @@ def solve_monotone(
             if np.isfinite(phi) and phi <= phi0 + opts.armijo * t * slope:
                 break
             t *= 0.5
-            lu = None  # a damped step keeps no factor; freed before the next trial
+            linear.lu = None  # a damped step keeps no factor; freed before the next trial
         else:
             raise NumericError(
                 f"Newton line search stalled at residual {res_norm:.3e} "
@@ -313,7 +303,7 @@ def solve_monotone(
             )
         u, asm = trial, trial_asm
         if not asm.residual_norm < res_norm:
-            lu = None
+            linear.lu = None
         res_norm = asm.residual_norm
         history.append(res_norm)
         merit.append(phi)
@@ -394,7 +384,7 @@ def solve_convection(
             f"coercivity margin 1 - b1 - b2/lambda = {margin:.6g} is not positive; "
             "existence is not guaranteed for the declared growth constants"
         )
-    newton_total = factorizations = pcg_total = 0
+    newton_total = 0
     carry = FactorCarry()
     if initial is None:
         zero = DiscreteFunction(mesh, np.zeros(mesh.num_nodes), zero_boundary=True)
@@ -403,8 +393,6 @@ def solve_convection(
         )
         u = warm.u
         newton_total = warm.newton_iterations
-        factorizations = warm.factorizations
-        pcg_total = warm.pcg_iterations
     else:
         u = initial.zero_on_boundary() if not initial.zero_boundary else initial
     theta = opts.theta
@@ -416,8 +404,6 @@ def solve_convection(
     for it in range(1, opts.max_outer + 1):
         inner = solve_monotone(phase, mesh, load, opts, initial=u, carry=carry)
         newton_total += inner.newton_iterations
-        factorizations += inner.factorizations
-        pcg_total += inner.pcg_iterations
         while True:
             vals = (1.0 - theta) * u.values + theta * inner.u.values
             unew = DiscreteFunction(mesh, vals, zero_boundary=True)
@@ -440,7 +426,7 @@ def solve_convection(
         ):
             return SolveReport(
                 unew, True, res, newton_total, it, margin, eigenvalue, history,
-                factorizations=factorizations, pcg_iterations=pcg_total,
+                factorizations=carry.factorizations, pcg_iterations=carry.pcg_iterations,
             )
         u, prev_res = unew, res
     raise NumericError(

@@ -414,7 +414,33 @@ def test_threads_env_var_equivalent(tmp_path, monkeypatch):
     assert os.environ["MKL_NUM_THREADS"] == "3"
 
 
-def test_threads_rejects_garbage(monkeypatch):
+def test_threads_rejects_garbage(monkeypatch, capsys):
     monkeypatch.setenv("DPKIT_THREADS", "lots")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "whatever.json", "--list"])
+    assert exc.value.code == 2  # a usage error, not a failed check
+    assert "DPKIT_THREADS must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_rejects_nonpositive_count(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "verify", "whatever.json", "--list"])
+    assert exc.value.code == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_row", ["33,1.0", "-1,1.0", "0,1.0"], ids=["past-end", "negative", "repeated"]
+)
+def test_table_field_rejects_bad_node_index(tmp_path, capsys, bad_row):
+    # the 32-cell interval has nodes 0..32; every node is covered once
+    # before the bad row is appended
+    rows = ["node_index,value"] + [f"{i},1.0" for i in range(33)] + [bad_row]
+    (tmp_path / "mu.csv").write_text("\n".join(rows) + "\n")
+    path = write_config(tmp_path)
+    data = json.loads(path.read_text())
+    data["fields"]["mu"] = {"kind": "table", "path": "mu.csv"}
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path), "--no-timestamp"]) == 2
+    assert "configuration error: cannot load table" in capsys.readouterr().err

@@ -144,6 +144,35 @@ def test_load_mesh_rejects_bad_indices(tmp_path, capsys, interval_mesh, name, ro
     assert "configuration error: cannot load mesh" in capsys.readouterr().err
 
 
+def test_load_mesh_rejects_an_empty_boundary_file(tmp_path, capsys, square_mesh):
+    save_mesh(square_mesh, tmp_path)
+    (tmp_path / "boundary.csv").write_bytes(b"")
+    with pytest.raises(ValueError, match="empty"):
+        load_mesh(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "mesh": {"kind": "files", "path": "."},
+                "problem": {"kind": "builtin", "name": "poisson-2d"},
+                "output_dir": "out",
+            }
+        )
+    )
+    assert main(["solve", str(cfg), "--no-timestamp"]) == 2
+    assert "configuration error: cannot load mesh" in capsys.readouterr().err
+
+
+def test_load_mesh_reads_a_header_only_boundary_file(tmp_path):
+    # save_mesh writes just the header when the mesh has no boundary nodes
+    mesh = build_interval_mesh(0.0, 1.0, 4)
+    save_mesh(Mesh(mesh.nodes, mesh.elements, np.array([], dtype=np.intp)), tmp_path)
+    assert (tmp_path / "boundary.csv").read_bytes() == b"node_index\r\n"
+    loaded = load_mesh(tmp_path)
+    assert loaded.boundary_nodes.size == 0
+    np.testing.assert_array_equal(loaded.elements, mesh.elements)
+
+
 def test_load_mesh_places_nodes_by_index(tmp_path, square_mesh):
     save_mesh(square_mesh, tmp_path)
     header, *rows = (tmp_path / "nodes.csv").read_text().splitlines()

@@ -189,6 +189,22 @@ def test_carried_factor_preconditions_the_next_solve(monkeypatch, crossing_phase
     assert carry.lu is not None and carry.lu is not kept
 
 
+def test_carry_counts_every_call_and_each_report_only_its_own(crossing_phase):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    carry = FactorCarry()
+    first = solve_monotone(crossing_phase, mesh, _sine_forcing, carry=carry)
+    assert (carry.factorizations, carry.pcg_iterations) == (
+        first.factorizations, first.pcg_iterations
+    )
+    second = solve_monotone(
+        crossing_phase, mesh, lambda pts: 1.05 * _sine_forcing(pts), initial=first.u,
+        carry=carry,
+    )
+    assert first.factorizations >= 1 and second.pcg_iterations >= 1
+    assert carry.factorizations == first.factorizations + second.factorizations
+    assert carry.pcg_iterations == first.pcg_iterations + second.pcg_iterations
+
+
 def test_small_factors_are_not_carried():
     case = manufactured_case("dp-1d")
     carry = FactorCarry()
@@ -327,6 +343,22 @@ def test_convection_refactors_when_pcg_fails(monkeypatch):
     assert rep.outer_iterations == reference.outer_iterations
     assert rep.factorizations == rep.newton_iterations
     assert rep.pcg_iterations == 0
+
+
+def test_convection_reports_the_work_of_its_inner_solves(monkeypatch):
+    inner = []
+
+    def recording_solve(*args, **kwargs):
+        inner.append(solve_monotone(*args, **kwargs))
+        return inner[-1]
+
+    monkeypatch.setattr(dpkit.solve, "solve_monotone", recording_solve)
+    cfg = parse_config(CONVECTION_2D)
+    rep = solve_convection(cfg.phase, cfg.mesh, cfg.term)
+    assert rep.converged and len(inner) == 1 + rep.outer_iterations
+    assert rep.newton_iterations == sum(r.newton_iterations for r in inner)
+    assert rep.factorizations == sum(r.factorizations for r in inner) >= 1
+    assert rep.pcg_iterations == sum(r.pcg_iterations for r in inner) >= 1
 
 
 def test_picard_builds_each_frozen_load_once(monkeypatch):
