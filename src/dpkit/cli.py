@@ -28,16 +28,18 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _apply_threads(threads: int | None) -> None:
+    source = "--threads"
     if threads is None:
         env = os.environ.get("DPKIT_THREADS")
         if env is None:
             return
+        source = "DPKIT_THREADS"
         try:
             threads = int(env)
         except ValueError:
             raise ValueError(f"DPKIT_THREADS must be an integer, got {env!r}") from None
     if threads < 1:
-        raise ValueError("--threads must be at least 1")
+        raise ValueError(f"{source} must be at least 1")
     for var in _THREAD_VARS:
         os.environ[var] = str(threads)
 

@@ -10,7 +10,8 @@ fill-reducing order (minimum degree on K^T + K).  For r != 2 a normalized
 inverse iteration is used: each step solves the monotone problem
 A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k and renormalizes; convergence is
 declared on Rayleigh-quotient stagnation.  The inner Newton solves share one
-:class:`dpkit.solve.FactorCarry` (see its docstring for the factor rules).
+:class:`dpkit.solve.FactorCarry` (see its docstring for the preconditioner
+rules).
 
 The margins below are the positivity conditions under which the convection
 problem is coercive (existence) and the p = 2 problem has a unique solution.
@@ -171,7 +172,7 @@ def _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter) -> EigenResult:
     u = _normalized(_coordinate_bump(mesh), r, order)
     lam = rayleigh_quotient(u, r, order)
     opts = SolverOptions(newton_tol=min(1e-11, tol), order=order)
-    carry = FactorCarry()  # freed on return: the factor never outlives this solve
+    carry = FactorCarry()  # freed on return: the preconditioner never outlives this solve
     history = []
     for it in range(1, max_iter + 1):
         uv = u.values_at(order)

@@ -10,9 +10,10 @@ Reference rules and their P1 basis are built once per (dimension, order).
 A mesh keeps everything else it builds on first use in one cache,
 :meth:`Mesh.cached`, with one value per slot and every array read-only, so
 an in-place edit raises: quadrature points and weights per order, the
-Gram block ``Mesh.gram``, the free x free CSR pattern of ``Mesh.scatter_free``
-and, rebuilt when a field object changes, the (p, q, mu) samples of
-``DoublePhase.at_quadrature`` and the hat norms of ``modular._hat_norms``.
+Gram block ``Mesh.gram``, the free x free CSR pattern of ``Mesh.scatter_free``,
+the multigrid prolongators of ``Mesh.prolongators`` and, rebuilt when a field
+object changes, the (p, q, mu) samples of ``DoublePhase.at_quadrature`` and
+the hat norms of ``modular._hat_norms``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import NumericError
 MIN_QUAD_ORDER = 1
 MAX_QUAD_ORDER = 8
 DEFAULT_QUAD_ORDER = 4
+MIN_COARSE_CELLS = 16  # cells a side of the coarsest multigrid level, at least
 
 
 class Quadrature:
@@ -106,6 +108,7 @@ class Mesh:
     elements : (nelems, dim + 1) int array of vertex indices.
     boundary_nodes : sorted int array of indices on the domain boundary.
     free_nodes : complement of ``boundary_nodes``.
+    grid : ``(nx, ny)`` for a mesh from :func:`build_rect_mesh`, else None.
     measures : (nelems,) element lengths/areas.
     basis_gradients : (nelems, dim + 1, dim) physical gradients of the
         local P1 basis, constant per element.
@@ -123,6 +126,7 @@ class Mesh:
         mask = np.ones(self.num_nodes, dtype=bool)
         mask[self.boundary_nodes] = False
         self.free_nodes = np.flatnonzero(mask)
+        self.grid = None
         self._init_geometry()
         self._cache: dict = {}  # slot -> (key, value), see cached
 
@@ -173,8 +177,9 @@ class Mesh:
             return hit[1]
         value = build()
         for a in value if isinstance(value, tuple) else (value,):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+            for b in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+                if isinstance(b, np.ndarray):
+                    b.setflags(write=False)
         self._cache[slot] = (key, value)
         return value
 
@@ -184,6 +189,13 @@ class Mesh:
         sum_d G_id G_jd, built on first use."""
         G = self.basis_gradients
         return self.cached("gram", (), lambda: np.einsum("eid,ejd->eij", G, G))
+
+    def prolongators(self) -> tuple:
+        """Free x free P1 prolongators of the nested grids below a rect mesh,
+        finest first, built on first use: the grid is halved while both sides
+        are even and both halves keep at least MIN_COARSE_CELLS cells.  Empty
+        for a mesh without a grid, or one that cannot be halved."""
+        return self.cached("prolongators", (), lambda: _grid_prolongators(self.grid))
 
     def reference_rule(self, order: int = DEFAULT_QUAD_ORDER) -> Quadrature:
         return gauss_interval(order) if self.dim == 1 else gauss_triangle(order)
@@ -277,6 +289,38 @@ def _free_pattern(mesh: Mesh):
     return pattern.indptr, pattern.indices, slot
 
 
+def _grid_prolongators(grid) -> tuple:
+    if grid is None:
+        return ()
+    mats = []
+    nx, ny = grid
+    while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) >= 2 * MIN_COARSE_CELLS:
+        mats.append(_prolongator(nx, ny))
+        nx, ny = nx // 2, ny // 2
+    return tuple(mats)
+
+
+def _prolongator(nx: int, ny: int) -> sp.csr_matrix:
+    """P1 interpolation from the free nodes of the (nx/2, ny/2) grid to
+    those of the (nx, ny) grid of :func:`build_rect_mesh`.
+
+    A fine node at grid position (i, j) takes half of each coarse end of the
+    x, y or v00-v11 diagonal edge it halves, or both halves from its own
+    coarse node when i and j are even; that is exact for P1 functions on the split that
+    ``build_rect_mesh`` makes.  Coarse boundary ends, which are zero, drop.
+    """
+    mx, my = nx // 2, ny // 2
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij"))
+    rows, cols = [], []
+    for ci, cj in ((i // 2, j // 2), ((i + 1) // 2, (j + 1) // 2)):
+        free = (ci > 0) & (ci < mx) & (cj > 0) & (cj < my)
+        rows.append(np.flatnonzero(free))
+        cols.append(((ci - 1) * (my - 1) + cj - 1)[free])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    shape = (i.size, (mx - 1) * (my - 1))
+    return sp.csr_matrix((np.full(rows.size, 0.5), (rows, cols)), shape=shape)
+
+
 def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
     """Uniform mesh of (a, b) with ``n`` elements; endpoints are boundary nodes."""
     if not b > a:
@@ -314,7 +358,9 @@ def build_rect_mesh(xspan, yspan, nx: int, ny: int) -> Mesh:
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
     on_edge = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
     boundary = np.flatnonzero(on_edge.ravel())
-    return Mesh(nodes, np.asarray(tris), boundary)
+    mesh = Mesh(nodes, np.asarray(tris), boundary)
+    mesh.grid = (nx, ny)
+    return mesh
 
 
 class DiscreteFunction:

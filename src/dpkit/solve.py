@@ -5,7 +5,8 @@ residual is paired with the regularized Jacobian and a backtracking line
 search on 1/2 ||residual||^2.  The operator is strictly monotone, so the
 Jacobian is symmetric positive definite on the free nodes and changes little
 between late steps; the Newton steps are solved by a :class:`FactorCarry`,
-which reuses a factor of an earlier Jacobian as a CG preconditioner (its
+which reuses a preconditioner built from an earlier Jacobian for CG: a
+multigrid :class:`VCycle` on a nested rect grid, else a sparse LU factor (its
 docstring states the rules).  ``solve_convection`` handles
 A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
 relaxes the update, and halves the relaxation whenever the outer residual
@@ -41,6 +42,7 @@ from .operator import (
 __all__ = [
     "SolverOptions",
     "FactorCarry",
+    "VCycle",
     "ConvectionTerm",
     "SolveReport",
     "UniquenessReport",
@@ -54,10 +56,13 @@ __all__ = [
 
 # FactorCarry's limits.  Small factors are not kept because at about 1200
 # stored entries, on 1D and 2D meshes alike, refactoring costs as much as a
-# 3-iteration PCG solve, and a reused factor takes about 7.
+# 3-iteration PCG solve, and a reused factor takes about 7.  With the
+# V-cycle's Jacobi weight, CG takes 7 to 10 iterations per Newton step on
+# grids from 64x64 to 256x256, so a multigrid step costs O(nodes).
 PCG_RTOL = 1e-6
 PCG_MAX_ITER = 20
 PCG_MIN_FACTOR_NNZ = 4096
+MG_JACOBI_WEIGHT = 0.6
 
 
 @dataclass(frozen=True)
@@ -147,10 +152,11 @@ class SolveReport:
     ``history`` holds the stopping-norm trajectory (residual max-norm for
     Newton, weak residual for Picard); ``energy_history`` holds the Newton
     line-search merit 1/2 ||residual||_2^2 per accepted iterate.
-    ``factorizations`` counts sparse LU factorizations of the Newton
-    Jacobian and ``pcg_iterations`` the conjugate-gradient iterations of the
-    steps that reused an earlier factor; a Picard solve reports both summed
-    over its inner solves.
+    ``factorizations`` counts the preconditioner builds of the Newton linear
+    solves, each a sparse LU of the Jacobian or a multigrid V-cycle whose
+    coarsest level is factored, and ``pcg_iterations`` every
+    conjugate-gradient iteration; a Picard solve reports both summed over its
+    inner solves.
     """
 
     u: DiscreteFunction
@@ -166,52 +172,105 @@ class SolveReport:
     pcg_iterations: int = 0
 
 
+class VCycle:
+    """A symmetric V(2,2) multigrid cycle for a free x free Jacobian J on a
+    nested rect grid, the CG preconditioner of :class:`FactorCarry` there.
+
+    Each coarse operator is the Galerkin product P^T A P of the level above
+    it, down the mesh's prolongators; the coarsest is factored by ``splu``
+    in the symmetric minimum-degree order, and every other level smooths by
+    damped Jacobi (weight MG_JACOBI_WEIGHT), twice before and twice after
+    its coarse correction.  ``solve(b)`` applies one cycle from a zero
+    guess, a fixed symmetric map of b, as CG requires.
+    """
+
+    __slots__ = ("levels", "coarse")
+
+    def __init__(self, jac, prolongators: tuple):
+        self.levels = []
+        op = jac
+        for prolong in prolongators:
+            diag = op.diagonal()
+            if not np.all(diag > 0.0):
+                raise RuntimeError("a level with a non-positive diagonal cannot be smoothed")
+            restrict = prolong.T.tocsr()
+            self.levels.append((op, MG_JACOBI_WEIGHT / diag, prolong, restrict))
+            op = (restrict @ op @ prolong).tocsr()
+        self.coarse = spla.splu(op.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self._cycle(0, b)
+
+    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
+        if level == len(self.levels):
+            return self.coarse.solve(b)
+        op, weight, prolong, restrict = self.levels[level]
+        x = weight * b
+        x += weight * (b - op @ x)
+        x += prolong @ self._cycle(level + 1, restrict @ (b - op @ x))
+        for _ in range(2):
+            x += weight * (b - op @ x)
+        return x
+
+
 class FactorCarry:
     """The Newton linear solver of :func:`solve_monotone`, which keeps a
-    factor of an earlier Jacobian to precondition later steps (inexact
-    Newton, Eisenstat-Walker 1996).  ``solve(jac, rhs)`` applies every
-    factor rule:
+    preconditioner built from an earlier Jacobian for later steps (inexact
+    Newton, Eisenstat-Walker 1996).  The kept preconditioner ``precond`` is a
+    sparse LU factor of J, or on a mesh with prolongators a multigrid
+    :class:`VCycle` of J; both expose ``solve(b)``.  ``solve(jac, rhs,
+    prolongators)`` applies every rule:
 
-    - with a kept factor ``lu``, it first tries conjugate gradients
+    - with a kept preconditioner, it first tries conjugate gradients
       preconditioned with it, to ||J x - rhs||_2 <= PCG_RTOL ||rhs||_2
       within PCG_MAX_ITER iterations;
-    - when CG misses that or returns non-finite values, the kept factor is
-      dropped before J is factored, so two factors are never live at once;
+    - when CG misses that or returns non-finite values, the kept one is
+      dropped before a new one is built, so two are never live at once;
+    - given prolongators, it builds a V-cycle of J and tries CG with it by
+      the same test, keeping the cycle when CG succeeds; a miss drops it
+      and falls through to the LU below, as does a cycle that cannot be
+      built (a level's diagonal is not positive, or its coarsest level is
+      singular);
     - J is factored in a symmetric fill-reducing order (minimum degree on
       J^T + J fills in less than the default column ordering), and a
       singular or non-finite solve raises NumericError;
     - the new factor is kept only if it has at least PCG_MIN_FACTOR_NNZ
       stored entries.
 
-    The caller drops ``lu`` after a damped or non-decreasing Newton step.
-    ``factorizations`` and ``pcg_iterations`` count the work of every solve
-    made through the object.  One carry passed to a sequence of related
-    solves on one mesh lets each call start by PCG with the factor the last
-    one kept; ``solve_convection`` and the r != 2 eigen iteration keep theirs
-    as a local, so the factor is freed when they return.  No factor is
-    cached on the mesh.
+    The caller drops ``precond`` after a damped or non-decreasing Newton step.
+    ``factorizations`` counts preconditioner builds, an LU of J or a V-cycle
+    whose coarsest level is factored, and ``pcg_iterations`` every CG
+    iteration, of the solves made through the object.  One carry passed to a
+    sequence of related solves on one mesh lets each call start by PCG with
+    what the last one kept; ``solve_convection`` and the r != 2 eigen
+    iteration keep theirs as a local, so it is freed when they return.  No
+    preconditioner is cached on the mesh.
     """
 
-    __slots__ = ("lu", "factorizations", "pcg_iterations")
+    __slots__ = ("precond", "factorizations", "pcg_iterations")
 
     def __init__(self):
-        self.lu = None
+        self.precond = None
         self.factorizations = 0
         self.pcg_iterations = 0
 
-    def solve(self, jac, rhs: np.ndarray) -> np.ndarray:
-        if self.lu is not None:
-            def count(_):
-                self.pcg_iterations += 1
-
-            precond = spla.LinearOperator(jac.shape, matvec=self.lu.solve, dtype=float)
-            x, info = spla.cg(
-                jac, rhs, rtol=PCG_RTOL, atol=0.0, maxiter=PCG_MAX_ITER, M=precond,
-                callback=count,
-            )
-            if info == 0 and np.all(np.isfinite(x)):
+    def solve(self, jac, rhs: np.ndarray, prolongators: tuple = ()) -> np.ndarray:
+        if self.precond is not None:
+            x = self._pcg(jac, rhs)
+            if x is not None:
                 return x
-            self.lu = None
+            self.precond = None
+        if prolongators:
+            try:
+                self.precond = VCycle(jac, prolongators)
+            except RuntimeError:  # not positive definite: left to the LU below
+                pass
+            else:
+                self.factorizations += 1
+                x = self._pcg(jac, rhs)
+                if x is not None:
+                    return x
+                self.precond = None
         try:
             # J is exactly symmetric, so its transpose is J in CSC format
             lu = spla.splu(jac.T, permc_spec="MMD_AT_PLUS_A")
@@ -222,8 +281,20 @@ class FactorCarry:
         if not np.all(np.isfinite(x)):
             raise NumericError("Newton linear solve produced non-finite update")
         if lu.nnz >= PCG_MIN_FACTOR_NNZ:
-            self.lu = lu
+            self.precond = lu
         return x
+
+    def _pcg(self, jac, rhs: np.ndarray):
+        """CG preconditioned with ``precond``: the solution, or None on a miss."""
+        def count(_):
+            self.pcg_iterations += 1
+
+        M = spla.LinearOperator(jac.shape, matvec=self.precond.solve, dtype=float)
+        x, info = spla.cg(
+            jac, rhs, rtol=PCG_RTOL, atol=0.0, maxiter=PCG_MAX_ITER, M=M,
+            callback=count,
+        )
+        return x if info == 0 and np.all(np.isfinite(x)) else None
 
 
 def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
@@ -268,7 +339,7 @@ def solve_monotone(
     asm = assemble_residual(u, phase, load, opts.order)
     res_norm = asm.residual_norm
     history.append(res_norm)
-    merit.append(0.5 * float(asm.residual @ asm.residual))
+    merit.append(_merit(asm.residual))
     for it in range(opts.max_newton + 1):
         if res_norm <= opts.newton_tol:
             return SolveReport(
@@ -282,8 +353,8 @@ def solve_monotone(
                 f"(residual {res_norm:.3e}, tol {opts.newton_tol:.3e})"
             )
         jac = assemble_jacobian(u, phase, opts.order, opts.eps_reg)
-        delta = linear.solve(jac, -asm.residual)
-        phi0 = 0.5 * float(asm.residual @ asm.residual)
+        delta = linear.solve(jac, -asm.residual, mesh.prolongators())
+        phi0 = merit[-1]
         slope = -2.0 * phi0  # directional derivative of phi along delta
         t = 1.0
         for _ in range(opts.max_backtracks):
@@ -291,11 +362,11 @@ def solve_monotone(
             vals[free] += t * delta
             trial = DiscreteFunction(mesh, vals, zero_boundary=True)
             trial_asm = assemble_residual(trial, phase, load, opts.order)
-            phi = 0.5 * float(trial_asm.residual @ trial_asm.residual)
+            phi = _merit(trial_asm.residual)
             if np.isfinite(phi) and phi <= phi0 + opts.armijo * t * slope:
                 break
             t *= 0.5
-            linear.lu = None  # a damped step keeps no factor; freed before the next trial
+            linear.precond = None  # a damped step keeps none; freed before the next trial
         else:
             raise NumericError(
                 f"Newton line search stalled at residual {res_norm:.3e} "
@@ -303,10 +374,17 @@ def solve_monotone(
             )
         u, asm = trial, trial_asm
         if not asm.residual_norm < res_norm:
-            linear.lu = None
+            linear.precond = None
         res_norm = asm.residual_norm
         history.append(res_norm)
         merit.append(phi)
+
+
+def _merit(residual: np.ndarray) -> float:
+    """The line-search merit 1/2 ||residual||_2^2; inf when the sum overflows,
+    which the line search rejects like any non-finite trial."""
+    with np.errstate(over="ignore"):
+        return 0.5 * float(residual @ residual)
 
 
 def residual_norm(

@@ -296,6 +296,21 @@ def test_solve_non_finite_phase_exits_two(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_merit_overflow_is_a_quiet_numeric_failure(tmp_path, capsys):
+    # at u = 0 the regularized Jacobian is tiny for p = 6, so the first
+    # trial's residual squares overflow in the line-search merit
+    cfgpath = write_config(
+        tmp_path,
+        mesh={"kind": "rect", "nx": 8, "ny": 8},
+        fields={"p": 6.0, "q": 8.0, "mu": 1.0},
+        problem={"kind": "rhs", "expr": "1"},
+    )
+    assert main(["solve", str(cfgpath)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: Newton line search stalled")
+
+
 def test_solve_output_dir_override(tmp_path):
     cfgpath = write_config(
         tmp_path, problem={"kind": "builtin", "name": "poisson-1d"},
@@ -428,6 +443,16 @@ def test_threads_rejects_nonpositive_count(capsys, threads):
         main(["--threads", threads, "verify", "whatever.json", "--list"])
     assert exc.value.code == 2
     assert "--threads must be at least 1" in capsys.readouterr().err
+
+
+def test_threads_env_count_is_rejected_under_its_own_name(monkeypatch, capsys):
+    monkeypatch.setenv("DPKIT_THREADS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "whatever.json", "--list"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "DPKIT_THREADS must be at least 1" in err
+    assert "--threads must" not in err
 
 
 @pytest.mark.parametrize(

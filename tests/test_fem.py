@@ -147,6 +147,70 @@ def test_gram_block_is_cached_read_only_and_exact(mesh):
         gram[0, 0, 0] = 0.0
 
 
+@pytest.mark.parametrize(
+    "mesh, fine_grids",
+    [
+        (build_rect_mesh((0.0, 1.0), (0.0, 1.0), 128, 128), [(128, 128), (64, 64), (32, 32)]),
+        (build_rect_mesh((0.0, 1.0), (0.0, 1.0), 48, 48), [(48, 48)]),
+        (build_rect_mesh((0.0, 2.0), (0.0, 1.0), 64, 32), [(64, 32)]),
+        (build_rect_mesh((0.0, 1.0), (0.0, 1.0), 31, 31), []),
+        (build_rect_mesh((0.0, 1.0), (0.0, 1.0), 16, 16), []),
+        (build_interval_mesh(0.0, 1.0, 64), []),
+    ],
+    ids=["128", "48", "64x32", "odd", "16", "interval"],
+)
+def test_prolongators_halve_nested_grids_down_to_16_cells(mesh, fine_grids):
+    mats = mesh.prolongators()
+    assert [m.shape for m in mats] == [
+        ((nx - 1) * (ny - 1), (nx // 2 - 1) * (ny // 2 - 1)) for nx, ny in fine_grids
+    ]
+    assert mesh.prolongators() is mats  # built once per mesh, and read-only
+    for m in mats:
+        with pytest.raises(ValueError):
+            m.data[0] = 1.0
+
+
+def test_a_mesh_without_a_grid_has_no_prolongators():
+    rect = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    loaded = Mesh(rect.nodes, rect.elements, rect.boundary_nodes)
+    assert rect.grid == (32, 32) and len(rect.prolongators()) == 1
+    assert loaded.grid is None and loaded.prolongators() == ()
+
+
+def _coarse_values_at_fine_nodes(coarse, fine, values):
+    """The coarse P1 function at every fine node, walking the coarse
+    triangles: a vertex keeps its value and an edge midpoint takes the mean
+    of the edge's two ends, checked to sit at the midpoint's coordinates."""
+    my, ny = coarse.grid[1], fine.grid[1]
+    out = np.full(fine.num_nodes, np.nan)
+    at = np.full(fine.nodes.shape, np.nan)
+    for tri in coarse.elements:
+        for a in tri:
+            for b in tri:
+                (ia, ja), (ib, jb) = divmod(a, my + 1), divmod(b, my + 1)
+                fine_node = (ia + ib) * (ny + 1) + ja + jb
+                at[fine_node] = (coarse.nodes[a] + coarse.nodes[b]) / 2
+                out[fine_node] = (values[a] + values[b]) / 2
+    np.testing.assert_allclose(at, fine.nodes, rtol=0, atol=1e-14)
+    return out
+
+
+@pytest.mark.parametrize(
+    "nx, ny, xspan, yspan",
+    [(64, 64, (0.0, 1.0), (0.0, 1.0)), (64, 32, (-1.0, 2.0), (0.5, 1.25))],
+    ids=["square", "64x32-offset"],
+)
+def test_prolongator_interpolates_coarse_p1_functions_exactly(nx, ny, xspan, yspan):
+    fine = build_rect_mesh(xspan, yspan, nx, ny)
+    coarse = build_rect_mesh(xspan, yspan, nx // 2, ny // 2)
+    values = np.zeros(coarse.num_nodes)
+    values[coarse.free_nodes] = np.random.default_rng(3).standard_normal(coarse.free_nodes.size)
+    expected = _coarse_values_at_fine_nodes(coarse, fine, values)
+    got = fine.prolongators()[0] @ values[coarse.free_nodes]
+    np.testing.assert_array_equal(got, expected[fine.free_nodes])  # bit for bit
+    np.testing.assert_array_equal(expected[fine.boundary_nodes], 0.0)
+
+
 def test_mesh_cache_frees_superseded_phases():
     """Bounding, sampling and the dual-norm residual keep only the latest
     phase on a mesh: the fields of the phases before it are freed."""

@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sparse_linalg
 
 import dpkit.solve
 from dpkit.config import parse_config
@@ -11,11 +12,15 @@ from dpkit.errors import NumericError, PreconditionError
 from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh, interpolate
 from dpkit.fields import ScalarField, constant_phase
 from dpkit.problems import growth_example_term, manufactured_case
+from dpkit.operator import assemble_jacobian
 from dpkit.solve import (
+    PCG_MAX_ITER,
     PCG_MIN_FACTOR_NNZ,
+    PCG_RTOL,
     ConvectionTerm,
     FactorCarry,
     SolverOptions,
+    VCycle,
     check_growth,
     residual_norm,
     solve_convection,
@@ -101,7 +106,7 @@ def test_poisson_2d_accuracy():
         ("dp-1d", 128, 5, 1),
         ("dp-1d", 256, 5, 1),
         ("poisson-2d", 16, 1, 0),
-        ("poisson-2d", 32, 1, 0),
+        ("poisson-2d", 32, 2, 0),
         ("convection-linear", 64, 9, 9),
     ],
 )
@@ -145,7 +150,7 @@ def test_small_factors_are_not_kept():
 
 
 def test_newton_reuses_its_factor_on_a_variable_exponent_solve(crossing_phase):
-    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 31, 31)
     opts = SolverOptions()
     rep = solve_monotone(crossing_phase, mesh, _sine_forcing, opts)
     assert rep.converged
@@ -155,10 +160,10 @@ def test_newton_reuses_its_factor_on_a_variable_exponent_solve(crossing_phase):
 
 
 def test_carried_factor_preconditions_the_next_solve(monkeypatch, crossing_phase):
-    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 31, 31)
     carry = FactorCarry()
     first = solve_monotone(crossing_phase, mesh, _sine_forcing, carry=carry)
-    kept = carry.lu
+    kept = carry.precond
     assert kept is not None and kept.nnz >= PCG_MIN_FACTOR_NNZ
     second = solve_monotone(
         crossing_phase, mesh, lambda pts: 1.05 * _sine_forcing(pts), initial=first.u,
@@ -166,14 +171,14 @@ def test_carried_factor_preconditions_the_next_solve(monkeypatch, crossing_phase
     )
     assert second.converged and second.newton_iterations >= 1
     assert second.factorizations == 0 and second.pcg_iterations > 0
-    assert carry.lu is kept
+    assert carry.precond is kept
 
     # a failed PCG step factors again, and the carry is empty while it does
     held = []
     splu = dpkit.solve.spla.splu
 
     def checked_splu(*args, **kwargs):
-        held.append(carry.lu)
+        held.append(carry.precond)
         return splu(*args, **kwargs)
 
     spla = types.SimpleNamespace(**vars(dpkit.solve.spla))
@@ -186,11 +191,11 @@ def test_carried_factor_preconditions_the_next_solve(monkeypatch, crossing_phase
     )
     assert third.converged and third.factorizations == third.newton_iterations >= 1
     assert held == [None] * third.factorizations
-    assert carry.lu is not None and carry.lu is not kept
+    assert carry.precond is not None and carry.precond is not kept
 
 
 def test_carry_counts_every_call_and_each_report_only_its_own(crossing_phase):
-    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 31, 31)
     carry = FactorCarry()
     first = solve_monotone(crossing_phase, mesh, _sine_forcing, carry=carry)
     assert (carry.factorizations, carry.pcg_iterations) == (
@@ -211,7 +216,83 @@ def test_small_factors_are_not_carried():
     mesh = case.build_mesh(128)
     rep = solve_monotone(case.phase, mesh, lambda x: np.ones(x.shape[0]), carry=carry)
     assert rep.converged and rep.factorizations == rep.newton_iterations
-    assert carry.lu is None
+    assert carry.precond is None
+
+
+@pytest.mark.parametrize("state", ["zero", "solution"])
+def test_multigrid_pcg_matches_splu(crossing_phase, state):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 64, 64)
+    if state == "zero":  # the eps-regularized Jacobian of the first step
+        u = DiscreteFunction(mesh, np.zeros(mesh.num_nodes), zero_boundary=True)
+    else:
+        u = solve_monotone(crossing_phase, mesh, _sine_forcing).u
+    jac = assemble_jacobian(u, crossing_phase)
+    rhs = np.random.default_rng(4).standard_normal(jac.shape[0])
+    exact = sparse_linalg.splu(jac.tocsc()).solve(rhs)
+    cycle = VCycle(jac, mesh.prolongators())
+    precond = sparse_linalg.LinearOperator(jac.shape, matvec=cycle.solve, dtype=float)
+    x, info = sparse_linalg.cg(jac, rhs, rtol=1e-8, atol=0.0, maxiter=12, M=precond)
+    assert info == 0
+    assert np.linalg.norm(x - exact) <= 5e-9 * np.linalg.norm(exact)
+
+    carry = FactorCarry()
+    x = carry.solve(jac, rhs, mesh.prolongators())
+    assert isinstance(carry.precond, VCycle) and carry.factorizations == 1
+    assert 1 <= carry.pcg_iterations <= PCG_MAX_ITER
+    assert np.linalg.norm(jac @ x - rhs) <= PCG_RTOL * np.linalg.norm(rhs)
+
+
+def test_multigrid_miss_falls_back_to_lu(monkeypatch, crossing_phase):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    cycles, factors = [], []
+    vcycle, splu = dpkit.solve.VCycle, dpkit.solve.spla.splu
+
+    def counted_cycle(*args):
+        cycles.append(vcycle(*args))
+        return cycles[-1]
+
+    def counted_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    spla_stub = types.SimpleNamespace(**vars(dpkit.solve.spla))
+    spla_stub.cg = lambda A, b, **kwargs: (np.zeros_like(b), 1)
+    spla_stub.splu = counted_splu
+    monkeypatch.setattr(dpkit.solve, "spla", spla_stub)
+    monkeypatch.setattr(dpkit.solve, "VCycle", counted_cycle)
+    rep = solve_monotone(crossing_phase, mesh, _sine_forcing)
+    assert rep.converged and rep.residual <= 1e-10
+    # each step builds a hierarchy, misses with it, then solves by an LU of J
+    # (the coarsest-level factors are the other half of the splu calls)
+    assert len(cycles) == rep.newton_iterations
+    assert len(factors) == 2 * rep.newton_iterations
+    assert rep.factorizations == 2 * rep.newton_iterations and rep.pcg_iterations == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_jacobian_multigrid_cannot_smooth_is_left_to_the_lu(crossing_phase):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    zero = DiscreteFunction(mesh, np.zeros(mesh.num_nodes), zero_boundary=True)
+    jac = 0.0 * assemble_jacobian(zero, crossing_phase)  # the diagonal underflowed
+    carry = FactorCarry()
+    with pytest.raises(NumericError, match="Newton linear solve failed"):
+        carry.solve(jac, np.ones(jac.shape[0]), mesh.prolongators())
+    assert carry.precond is None and carry.factorizations == 0
+
+
+def test_kept_hierarchy_preconditions_the_next_solve(crossing_phase):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    carry = FactorCarry()
+    first = solve_monotone(crossing_phase, mesh, _sine_forcing, carry=carry)
+    kept = carry.precond
+    assert isinstance(kept, VCycle) and first.factorizations >= 1
+    second = solve_monotone(
+        crossing_phase, mesh, lambda pts: 1.05 * _sine_forcing(pts), initial=first.u,
+        carry=carry,
+    )
+    assert second.converged and second.newton_iterations >= 1
+    assert second.factorizations == 0 and second.pcg_iterations > 0
+    assert carry.precond is kept
 
 
 def test_dp_solve_converges_and_is_symmetric():
