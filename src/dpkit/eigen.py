@@ -122,12 +122,12 @@ def first_eigenvalue(
 ) -> EigenResult:
     """First Dirichlet eigenvalue of the r-Laplacian on the mesh."""
     r = float(r)
-    if r <= 1.0:
-        raise ValueError(f"the eigenvalue problem requires r > 1, got {r}")
+    if not 1.0 < r < np.inf:
+        raise ValueError(f"the eigenvalue problem requires a finite r > 1, got r = {r}")
     if mesh.free_nodes.size == 0:
         raise ValueError("mesh has no interior nodes")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got tol = {tol}")
     if r == 2.0:
         return _first_eigenvalue_linear(mesh, tol, order, max_iter)
     return _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter)

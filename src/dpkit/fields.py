@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DEFAULT_QUAD_ORDER, Mesh
+from .fem import DEFAULT_QUAD_ORDER, Mesh, _unique_pairs
 
 __all__ = [
     "ScalarField",
@@ -268,7 +268,8 @@ def sample_points(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
 def sample_pairs(mesh: Mesh, pair_budget: int = 2000, seed: int = 0):
     """Index pairs for modulus estimation: all mesh edges plus random pairs.
 
-    Returns (i, j) index arrays into ``mesh.nodes`` with i != j.
+    Returns (i, j) int index arrays into ``mesh.nodes``: the distinct pairs
+    with i < j, sorted by (i, j).
     """
     if pair_budget < 0:
         raise ValueError("pair_budget must be nonnegative")
@@ -279,7 +280,7 @@ def sample_pairs(mesh: Mesh, pair_budget: int = 2000, seed: int = 0):
         raw = rng.integers(0, n, size=(pair_budget, 2))
         raw = raw[raw[:, 0] != raw[:, 1]]
         pairs.append(np.sort(raw, axis=1))
-    allp = np.unique(np.vstack(pairs), axis=0)
+    allp = _unique_pairs(np.vstack(pairs), n)
     return allp[:, 0], allp[:, 1]
 
 

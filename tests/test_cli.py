@@ -135,6 +135,13 @@ def test_eigen_rejects_bad_exponent(tmp_path):
     assert main(["eigen", str(cfgpath), "--r", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_eigen_rejects_non_finite_exponent(tmp_path, capsys, r):
+    cfgpath = write_config(tmp_path)
+    assert main(["eigen", str(cfgpath), "--r", r]) == 2
+    assert f"requires a finite r > 1, got r = {r}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -185,6 +185,18 @@ def test_first_eigenvalue_input_validation():
         first_eigenvalue(build_interval_mesh(0.0, 1.0, 1), r=2.0)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_first_eigenvalue_rejects_non_finite_r(r):
+    with pytest.raises(ValueError, match=r"finite r > 1, got r = "):
+        first_eigenvalue(build_interval_mesh(0.0, 1.0, 8), r=r)
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0])
+def test_first_eigenvalue_rejects_nan_tol(r):
+    with pytest.raises(ValueError, match="tol must be positive, got tol = nan"):
+        first_eigenvalue(build_interval_mesh(0.0, 1.0, 8), r=r, tol=np.nan)
+
+
 def test_eigen_budget_exhaustion_raises():
     mesh = build_interval_mesh(0.0, 1.0, 64)
     with pytest.raises(NumericError):

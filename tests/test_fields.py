@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkit.fem import build_interval_mesh
+from dpkit import fields
+from dpkit.config import parse_config
+from dpkit.fem import Mesh, build_interval_mesh, build_rect_mesh
 from dpkit.fields import (
     DoublePhase,
     ScalarField,
@@ -24,6 +26,9 @@ from dpkit.fields import (
     sample_pairs,
     sample_points,
 )
+from dpkit.properties import _random_smooth_triples
+
+import pairs_reference
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +201,93 @@ def test_sample_pairs_distinct(interval_mesh):
     i, j = sample_pairs(interval_mesh, pair_budget=100, seed=1)
     assert np.all(i != j)
     assert i.size >= interval_mesh.edges().shape[0]
+
+
+def _reversed_interval_mesh(n: int) -> Mesh:
+    """A 1D mesh on [0, 1] whose elements list the larger node index first."""
+    x = 1.0 - np.linspace(0.0, 1.0, n + 1)
+    elements = np.column_stack([np.arange(1, n + 1), np.arange(n)])
+    return Mesh(x[:, None], elements, [0, n])
+
+
+_PAIR_MESHES = {
+    "interval-32": lambda: build_interval_mesh(0.0, 1.0, 32),
+    "reversed-interval-20": lambda: _reversed_interval_mesh(20),
+    "rect-8x8": lambda: build_rect_mesh((0.0, 1.0), (0.0, 1.0), 8, 8),
+    "rect-31x17": lambda: build_rect_mesh((0.0, 2.0), (-1.0, 1.0), 31, 17),
+}
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", _PAIR_MESHES)
+def test_mesh_edges_match_row_unique_reference(name):
+    mesh = _PAIR_MESHES[name]()
+    e = mesh.edges()
+    _assert_same_array(e, pairs_reference.edges(mesh))
+    assert np.all(e[:, 0] < e[:, 1])
+    assert np.all(np.diff(e[:, 0] * mesh.num_nodes + e[:, 1]) > 0)  # sorted by (i, j)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 100, 2000, 4000])
+@pytest.mark.parametrize("name", _PAIR_MESHES)
+def test_sample_pairs_match_row_unique_reference(name, budget):
+    mesh = _PAIR_MESHES[name]()
+    for seed in (0, 1, 7):
+        i, j = sample_pairs(mesh, budget, seed)
+        ref_i, ref_j = pairs_reference.sample_pairs(mesh, budget, seed)
+        _assert_same_array(i, ref_i)
+        _assert_same_array(j, ref_j)
+        assert i.dtype == np.int64
+        assert np.all(i < j)
+
+
+def test_sample_pairs_empty_without_edges_or_budget():
+    lone = Mesh([[0.0]], np.empty((0, 2), dtype=int), [0])
+    for mesh, budget in [(lone, 0), (lone, 100), (_reversed_interval_mesh(1), 0)]:
+        i, j = sample_pairs(mesh, budget)
+        ref_i, ref_j = pairs_reference.sample_pairs(mesh, budget)
+        _assert_same_array(i, ref_i)
+        _assert_same_array(j, ref_j)
+    i, _ = sample_pairs(lone, 100)
+    assert i.size == 0 and i.dtype == np.int64
+
+
+def _pair_consumer_reports(mesh, phase):
+    beta_max, a1 = check_A1_characterization(phase, mesh)
+    return {
+        "Hprime": check_condition_Hprime(phase, mesh).to_dict(),
+        "Hpp": check_condition_Hpp(phase, mesh).to_dict(),
+        "A1-sufficient": check_A1_sufficient(phase, mesh, alpha=1.0).to_dict(),
+        "A1": a1.to_dict(),
+        "beta_max": beta_max,
+    }
+
+
+def _pair_consumer_cases():
+    cfg = parse_config(
+        {
+            "mesh": {"kind": "rect", "nx": 16, "ny": 16},
+            "fields": {
+                "p": {"kind": "affine", "a": [0.2, 0.0], "b": 1.6},
+                "q": {"kind": "affine", "a": [0.0, 0.2], "b": 2.0},
+                "mu": {"kind": "expr", "expr": "0.2 + 0.8*x*y"},
+            },
+        }
+    )
+    return [(cfg.mesh, cfg.require_phase()), *_random_smooth_triples(3, 2)]
+
+
+def test_pair_consumers_match_row_unique_reference(monkeypatch):
+    cases = _pair_consumer_cases()
+    got = [_pair_consumer_reports(mesh, phase) for mesh, phase in cases]
+    monkeypatch.setattr(fields, "sample_pairs", pairs_reference.sample_pairs)
+    want = [_pair_consumer_reports(mesh, phase) for mesh, phase in cases]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
