@@ -189,18 +189,14 @@ def cmd_validate(args) -> int:
 def cmd_norm(args) -> int:
     from .fem import DiscreteFunction
     from .io import load_solution
-    from .modular import luxemburg_report, modular, modular_sobolev
+    from .modular import luxemburg_report, modular
 
     cfg = _load(args)
     phase = cfg.require_phase()
     values = load_solution(args.input, cfg.mesh)
     u = DiscreteFunction(cfg.mesh, values)
     res = luxemburg_report(u, phase, args.which, cfg.tolerances.norm_tol, cfg.order)
-    if args.which == "sobolev":
-        parts = modular_sobolev(u, phase, cfg.order)
-    else:
-        on = "gradient" if args.which == "gradient" else "value"
-        parts = modular(u, phase, on, cfg.order)
+    parts = modular(u, phase, args.which, cfg.order)
     data = {
         "command": "norm",
         "which": args.which,

@@ -81,7 +81,6 @@ class RunConfig:
     eps_reg: float
     seed: int
     output_dir: Path
-    raw: dict
 
     def solver_options(self) -> SolverOptions:
         return SolverOptions(
@@ -331,7 +330,6 @@ def parse_config(data: dict, base_dir=".") -> RunConfig:
         eps_reg=eps_reg,
         seed=seed,
         output_dir=output_dir,
-        raw=data,
     )
 
 

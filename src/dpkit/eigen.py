@@ -128,6 +128,8 @@ def first_eigenvalue(
         raise ValueError("mesh has no interior nodes")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got tol = {tol}")
+    if tol == np.inf:  # would stop after one iteration, unconverged
+        raise ValueError(f"tol must be finite, got tol = {tol}")
     if r == 2.0:
         return _first_eigenvalue_linear(mesh, tol, order, max_iter)
     return _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter)

@@ -123,6 +123,9 @@ class Mesh:
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
             raise ValueError(f"elements must have {self.dim + 1} vertices each")
         self.boundary_nodes = np.unique(np.asarray(boundary_nodes, dtype=np.intp))
+        for name, index in (("element", self.elements), ("boundary", self.boundary_nodes)):
+            if index.size and (index.min() < 0 or index.max() >= self.num_nodes):
+                raise ValueError(f"{name} node indices must lie in 0..{self.num_nodes - 1}")
         mask = np.ones(self.num_nodes, dtype=bool)
         mask[self.boundary_nodes] = False
         self.free_nodes = np.flatnonzero(mask)

@@ -92,11 +92,6 @@ def load_mesh(directory) -> Mesh:
     elements = np.array([[int(v) for v in row[1:]] for row in elem_rows])
     bdry_rows = _read_rows(directory / "boundary.csv", "boundary")
     boundary = np.array([int(row[0]) for row in bdry_rows], dtype=np.intp)
-    n = nodes.shape[0]
-    if elements.size and (elements.min() < 0 or elements.max() >= n):
-        raise ValueError("element connectivity references nonexistent nodes")
-    if boundary.size and (boundary.min() < 0 or boundary.max() >= n):
-        raise ValueError("boundary list references nonexistent nodes")
     return Mesh(nodes, elements, boundary)
 
 
@@ -115,21 +110,20 @@ def load_solution(path, mesh: Mesh) -> np.ndarray:
     """Read nodal values written by :func:`save_solution` back onto ``mesh``.
 
     Accepts both the full format (with coordinates) and the bare
-    ``node_index,value`` form; raises ValueError if the node count differs.
+    ``node_index,value`` form; raises ValueError if the node count differs,
+    a node index is out of range or repeats, or a value is not finite.
     """
     rows = _read_rows(Path(path), "solution")
-    values = np.full(mesh.num_nodes, np.nan)
     if len(rows) != mesh.num_nodes:
         raise ValueError(
             f"solution has {len(rows)} rows but the mesh has {mesh.num_nodes} nodes"
         )
-    for row in rows:
-        idx = int(row[0])
-        if not 0 <= idx < mesh.num_nodes:
-            raise ValueError(f"node index {idx} outside the mesh")
-        values[idx] = float(row[-1])
-    if np.any(np.isnan(values)):
-        raise ValueError("solution file does not cover every node exactly once")
+    index = np.array([int(row[0]) for row in rows], dtype=np.intp)
+    _check_node_index(index, mesh.num_nodes)
+    values = np.empty(mesh.num_nodes)
+    values[index] = [float(row[-1]) for row in rows]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("solution values must be finite")
     return values
 
 

@@ -13,6 +13,12 @@ with Newton acceleration: the bracket comes from the norm-modular sandwich,
 bisection guarantees convergence, Newton steps inside the bracket give the
 usual quadratic tail.
 
+``_part_terms`` is the one term builder: every modular, Luxemburg norm and
+hat norm takes its terms from it.  ``_parts`` lists a variant's parts in term
+order (p-part, then q-part, of |u|, then of |grad u|), and the hat patches
+build their p- and q-terms the same way and in the same order, which is what
+makes a hat norm equal its full-mesh norm bit for bit.
+
 ``_luxemburg_roots`` is the one root-finder.  It solves a block of
 equal-length power sums at once: a single-function norm is a block of one
 row, and the hat-function norms (the dual-norm diagnostics) go through it in
@@ -65,38 +71,46 @@ DEFAULT_NORM_TOL = 1e-12
 
 def _part_terms(
     samples: np.ndarray, expo: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(coefs, expos) of weight * samples**expo, zero-coefficient entries dropped."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coefs, expos, keep) of weight * samples**expo, flattened over the shape
+    of ``expo``: ``keep`` marks the entries kept, those of nonzero coefficient."""
     s = np.broadcast_to(samples, expo.shape).reshape(-1)
     e = expo.reshape(-1)
     w = np.broadcast_to(weight, expo.shape).reshape(-1)
     keep = (w != 0.0) & (s != 0.0)
-    return w[keep] * np.power(s[keep], e[keep]), e[keep]
+    return w[keep] * np.power(s[keep], e[keep]), e[keep], keep
 
 
-def _concat(parts) -> tuple[np.ndarray, np.ndarray]:
-    coefs, expos = zip(*parts)
-    return np.concatenate(coefs), np.concatenate(expos)
+# the public modular variants, by the samples each takes: |u|, |grad u| or both
+_VARIANTS = {"value": ("value",), "gradient": ("gradient",), "sobolev": ("value", "gradient")}
+
+
+def _check_variant(which: str) -> None:
+    if which not in _VARIANTS:
+        raise ValueError(f"unknown modular variant {which!r}, expected one of {list(_VARIANTS)}")
+
+
+def _parts(u: DiscreteFunction, phase: DoublePhase, order: int, which: str) -> list:
+    """(coefs, expos) of each part of a modular variant, in term order.
+
+    For each of |u| and |grad u| that the variant takes, the p-part and then
+    the q-part; the private ``"seminorm"`` is the q-part of |u|.
+    """
+    p, q, mu, w = phase.at_quadrature(u.mesh, order)
+    if which == "seminorm":
+        return [_part_terms(np.abs(u.values_at(order)), q, w * mu)[:2]]
+    parts = []
+    for on in _VARIANTS[which]:
+        s = np.abs(u.values_at(order)) if on == "value" else u.gradient_norms()[:, None]
+        parts += [_part_terms(s, p, w)[:2], _part_terms(s, q, w * mu)[:2]]
+    return parts
 
 
 def _collect_terms(
     u: DiscreteFunction, phase: DoublePhase, order: int, which: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    mesh = u.mesh
-    p, q, mu, w = phase.at_quadrature(mesh, order)
-    parts = []
-    if which in ("value", "sobolev"):
-        vals = np.abs(u.values_at(order))
-        parts += [_part_terms(vals, p, w), _part_terms(vals, q, w * mu)]
-    if which in ("gradient", "sobolev"):
-        grads = u.gradient_norms()[:, None]
-        parts += [_part_terms(grads, p, w), _part_terms(grads, q, w * mu)]
-    if which == "seminorm":
-        vals = np.abs(u.values_at(order))
-        parts = [_part_terms(vals, q, w * mu)]
-    if not parts:
-        raise ValueError(f"unknown modular variant {which!r}")
-    return _concat(parts)
+    coefs, expos = zip(*_parts(u, phase, order, which))
+    return np.concatenate(coefs), np.concatenate(expos)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
@@ -132,8 +146,8 @@ def _luxemburg_roots(
     the block.  Every row's arithmetic is thus the same whatever else is in
     the block, and a single function is a block of one row.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # tol = inf would stop every row after one step
+        raise ValueError("tol must be positive and finite")
     lam = np.zeros(coefs.shape[0])
     its = np.zeros(coefs.shape[0], dtype=int)
     m1 = coefs.sum(axis=1).tolist()
@@ -245,7 +259,7 @@ def _patch_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.n
     wmu = w * mu
     # |grad phi| of each (element, local vertex), as gradient_norms() gives it
     s = np.sqrt(np.sum(mesh.basis_gradients**2, axis=2))
-    nv = mesh.elements.shape[1]
+    nv, nq = mesh.elements.shape[1], p.shape[1]
     flat = mesh.elements.ravel()
     by_node = np.argsort(flat, kind="stable")  # ascending element within each node
     counts = np.bincount(flat, minlength=mesh.num_nodes)
@@ -259,14 +273,11 @@ def _patch_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.n
         offset = np.arange(hat.size) - (np.cumsum(k) - k)[hat]
         e, v = np.divmod(by_node[starts[nodes][hat] + offset], nv)
         grads = s[e, v][:, None]
-        owner, coefs, expos = [], [], []
-        for expo, weight in ((p[e], w[e]), (q[e], wmu[e])):
-            keep = (weight != 0.0) & (grads != 0.0)
-            g = np.broadcast_to(grads, keep.shape)[keep]
-            coefs.append(weight[keep] * np.power(g, expo[keep]))
-            expos.append(expo[keep])
-            owner.append(np.broadcast_to(hat[:, None], keep.shape)[keep])
-        owner = np.concatenate(owner)
+        coefs, expos, keep = zip(
+            _part_terms(grads, p[e], w[e]), _part_terms(grads, q[e], wmu[e])
+        )
+        hats = np.repeat(hat, nq)  # block hat of each (patch entry, sample)
+        owner = np.concatenate([hats[k] for k in keep])
         by_hat = np.argsort(owner, kind="stable")  # p-terms, then q-terms, of each hat
         coefs = np.concatenate(coefs)[by_hat]
         expos = np.concatenate(expos)[by_hat]
@@ -302,26 +313,18 @@ def modular(
     on: str = "value",
     order: int = DEFAULT_QUAD_ORDER,
 ) -> ModularReport:
-    """rho_H of u (``on="value"``) or of |grad u| (``on="gradient"``)."""
-    if on not in ("value", "gradient"):
-        raise ValueError(f"'on' must be 'value' or 'gradient', got {on!r}")
-    p, q, mu, w = phase.at_quadrature(u.mesh, order)
-    if on == "value":
-        s = np.abs(u.values_at(order))
-    else:
-        s = u.gradient_norms()[:, None]
-    p_part = float(_part_terms(s, p, w)[0].sum())
-    q_part = float(_part_terms(s, q, w * mu)[0].sum())
-    return ModularReport(p_part, q_part)
+    """rho_H of u (``on="value"``), of |grad u| (``on="gradient"``) or of both
+    (``on="sobolev"``, the value modular plus the gradient modular)."""
+    _check_variant(on)
+    sums = [float(coefs.sum()) for coefs, _ in _parts(u, phase, order, on)]
+    return ModularReport(sum(sums[0::2]), sum(sums[1::2]))
 
 
 def modular_sobolev(
     u: DiscreteFunction, phase: DoublePhase, order: int = DEFAULT_QUAD_ORDER
 ) -> ModularReport:
-    """The full Sobolev modular: gradient modular plus value modular."""
-    mv = modular(u, phase, "value", order)
-    mg = modular(u, phase, "gradient", order)
-    return ModularReport(mv.p_part + mg.p_part, mv.q_part + mg.q_part)
+    """The full Sobolev modular, ``modular(u, phase, "sobolev", order)``."""
+    return modular(u, phase, "sobolev", order)
 
 
 def luxemburg_norm(
@@ -359,8 +362,7 @@ def luxemburg_report(
     order: int = DEFAULT_QUAD_ORDER,
 ) -> LuxemburgResult:
     """Like :func:`luxemburg_norm` but reporting the iteration count too."""
-    if which not in ("value", "gradient", "sobolev"):
-        raise ValueError(f"unknown norm variant {which!r}")
+    _check_variant(which)
     coefs, expos = _collect_terms(u, phase, order, which)
     lam, its = _luxemburg_roots(coefs[None], expos[None], tol)
     return LuxemburgResult(float(lam[0]), int(its[0]), which, tol)
@@ -420,6 +422,7 @@ def check_norm_modular(
     The exponent bounds are taken over the active quadrature samples, where
     the discrete modular lives.
     """
+    _check_variant(which)
     coefs, expos = _collect_terms(u, phase, order, which)
     lam = float(_luxemburg_roots(coefs[None], expos[None], norm_tol)[0][0])
     rho = float(coefs.sum())

@@ -40,7 +40,6 @@ from .modular import (
     check_norm_modular,
     luxemburg_norm,
     modular,
-    modular_sobolev,
     reverse_holder_check,
     truncate,
     weighted_seminorm,
@@ -240,10 +239,7 @@ def _prop_unit_ball(seed: int):
             for which in ("value", "sobolev"):
                 lam = luxemburg_norm(u, phase, which)
                 scaled = u * (1.0 / lam)
-                if which == "value":
-                    rho = modular(scaled, phase, "value").total
-                else:
-                    rho = modular_sobolev(scaled, phase).total
+                rho = modular(scaled, phase, which).total
                 worst = max(worst, abs(rho - 1.0))
     return worst <= 1e-10, f"max |rho(u/||u||) - 1| = {worst:.3e}"
 

@@ -193,8 +193,12 @@ def test_first_eigenvalue_rejects_non_finite_r(r):
 
 @pytest.mark.parametrize("r", [2.0, 3.0])
 def test_first_eigenvalue_rejects_nan_tol(r):
-    with pytest.raises(ValueError, match="tol must be positive, got tol = nan"):
-        first_eigenvalue(build_interval_mesh(0.0, 1.0, 8), r=r, tol=np.nan)
+    for tol, message in (
+        (np.nan, "tol must be positive, got tol = nan"),
+        (np.inf, "tol must be finite, got tol = inf"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            first_eigenvalue(build_interval_mesh(0.0, 1.0, 8), r=r, tol=tol)
 
 
 def test_eigen_budget_exhaustion_raises():

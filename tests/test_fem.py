@@ -68,6 +68,22 @@ def test_mesh_rejects_negative_orientation():
         Mesh(nodes, [[1, 0]], [0, 1])
 
 
+@pytest.mark.parametrize(
+    "elements, boundary, message",
+    [
+        ([[0, 1, -1], [0, 3, 2]], [0, 1, 2, 3], "element node indices"),
+        ([[0, 1, 4], [0, 3, 2]], [0, 1, 2, 3], "element node indices"),
+        ([[0, 1, 3], [0, 3, 2]], [0, 1, 2, 7], "boundary node indices"),
+        ([[0, 1, 3], [0, 3, 2]], [-1, 0, 1, 2, 3], "boundary node indices"),
+    ],
+    ids=["negative-element", "element-past-end", "boundary-past-end", "negative-boundary"],
+)
+def test_mesh_rejects_out_of_range_indices(elements, boundary, message):
+    nodes = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(ValueError, match=f"{message} must lie in 0..3"):
+        Mesh(nodes, elements, boundary)
+
+
 def test_scatter_sums_element_matrices(square_mesh):
     nv = square_mesh.elements.shape[1]
     local = np.ones((square_mesh.num_elements, nv, nv))

@@ -72,6 +72,16 @@ def test_solution_detects_missing_nodes(tmp_path, interval_mesh):
         load_solution(path, interval_mesh)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_solution_rejects_non_finite_values(tmp_path, interval_mesh, bad):
+    path = tmp_path / "u.csv"
+    n = interval_mesh.num_nodes
+    rows = ["node_index,value"] + [f"{i},1.0" for i in range(n - 1)] + [f"{n - 1},{bad}"]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_solution(path, interval_mesh)
+
+
 def test_node_table_roundtrip(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("node_index,value\n0,1.5\n2,2.5\n")

@@ -55,13 +55,23 @@ def test_sobolev_modular_is_sum_of_parts(interval_mesh, dp_phase):
     mv = modular(u, dp_phase, "value")
     mg = modular(u, dp_phase, "gradient")
     ms = modular_sobolev(u, dp_phase)
-    assert ms.total == pytest.approx(mv.total + mg.total, rel=1e-14)
+    assert ms.p_part == mv.p_part + mg.p_part
+    assert ms.q_part == mv.q_part + mg.q_part
+    assert modular(u, dp_phase, "sobolev") == ms
 
 
 def test_modular_rejects_unknown_target(interval_mesh, dp_phase):
     u = DiscreteFunction(interval_mesh, np.zeros(interval_mesh.num_nodes))
     with pytest.raises(ValueError):
         modular(u, dp_phase, "slope")
+
+
+def test_public_variants_exclude_the_private_seminorm(interval_mesh, dp_phase):
+    u = random_nodal(interval_mesh, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="unknown modular variant 'seminorm'"):
+        modular(u, dp_phase, "seminorm")
+    with pytest.raises(ValueError, match="unknown modular variant 'seminorm'"):
+        check_norm_modular(u, dp_phase, "seminorm")
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +127,7 @@ def test_luxemburg_rejects_bad_tolerance(interval_mesh, dp_phase):
     u = sine_bump(interval_mesh)
     with pytest.raises(ValueError):
         luxemburg_norm(u, dp_phase, "value", tol=0.0)
-    for tol in (0.0, -1.0, float("nan")):
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be positive"):
             luxemburg_report(u, dp_phase, "value", tol=tol)
         with pytest.raises(ValueError, match="tol must be positive"):
