@@ -361,21 +361,12 @@ def build_rect_mesh(xspan, yspan, nx: int, ny: int) -> Mesh:
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append([v00, v10, v11])
-            tris.append([v00, v11, v01])
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
-    on_edge = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
-    boundary = np.flatnonzero(on_edge.ravel())
-    mesh = Mesh(nodes, np.asarray(tris), boundary)
+    nid = np.arange(nodes.shape[0]).reshape(nx + 1, ny + 1)
+    v00, v10, v01, v11 = nid[:-1, :-1], nid[1:, :-1], nid[:-1, 1:], nid[1:, 1:]
+    # cells in (i, j) order, each split into (v00, v10, v11) and (v00, v11, v01)
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    on_edge = np.pad(np.zeros((nx - 1, ny - 1), dtype=bool), 1, constant_values=True)
+    mesh = Mesh(nodes, tris, np.flatnonzero(on_edge))
     mesh.grid = (nx, ny)
     return mesh
 

@@ -36,8 +36,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
-from scipy.optimize import brentq as _brentq
 
 from .errors import NumericError
 from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh
@@ -467,6 +465,9 @@ def sobolev_conjugate_inverse(
     adaptive quadrature with the scalar inverse of H obtained by bracketed
     root-finding on [1, tau^{1/p(x)}].
     """
+    from scipy.integrate import quad  # deferred: slow to import, and only used here
+    from scipy.optimize import brentq
+
     N = phase.dim
     if N < 2:
         raise ValueError("the Sobolev conjugate requires ambient dimension N >= 2")
@@ -486,12 +487,12 @@ def sobolev_conjugate_inverse(
             hi = tau ** (1.0 / pv)
             if muv == 0.0:
                 return hi
-            return _brentq(
+            return brentq(
                 lambda t: t**pv + muv * t**qv - tau, 1.0, max(hi, 1.0 + 1e-15),
                 xtol=1e-14, rtol=8.9e-16,
             )
 
-        val, abserr = _scipy_quad(
+        val, abserr = quad(
             lambda tau: h_inverse(tau) / tau ** ((N + 1.0) / N),
             h1,
             s,

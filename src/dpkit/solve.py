@@ -7,17 +7,23 @@ Jacobian is symmetric positive definite on the free nodes and changes little
 between late steps; the Newton steps are solved by a :class:`FactorCarry`,
 which reuses a preconditioner built from an earlier Jacobian for CG: a
 multigrid :class:`VCycle` on a nested rect grid, else a sparse LU factor (its
-docstring states the rules).  ``solve_convection`` handles
-A(u) = f(x, u, grad u) by an outer Picard loop that freezes (u, grad u) in f,
-relaxes the update, and halves the relaxation whenever the outer residual
-increases.  The outer residual is :func:`weak_residual`, a dual-norm residual
-over the nodal hats, evaluated with the frozen load of the trial iterate,
-which the next inner solve then reuses; the hats' gradient Luxemburg norms
-are built from their element patches in one batched root-find and kept on
-the mesh, so the Picard loop and a caller re-checking the residual at the
-returned iterate share one build.  Existence requires the coercivity
-margin of the declared growth constants to be positive; that margin is
-checked before any iteration runs.
+docstring states the rules).  The flux is not differentiable at grad u = 0
+for p < 2 and degenerate there for p > 2, so at an iterate whose element
+gradients all vanish, such as the zero start, the step matrix is the
+Jacobian regularized at unit gradient scale (eps_reg = 1) instead:
+sum_g w (1 + mu) G G^T, which is J(0) itself on a linear phase (p = 2 and
+mu (q - 2) = 0).  At eps_reg it would scale like eps_reg^(p-2), 1e-32 at
+p = 6, and give a step that the line search must damp or cannot shorten
+enough.  ``solve_convection`` handles A(u) = f(x, u, grad u) by an outer
+Picard loop that freezes (u, grad u) in f, relaxes the update, and halves
+the relaxation whenever the outer residual increases.  The outer residual is
+:func:`weak_residual`, a dual-norm residual over the nodal hats, evaluated
+with the frozen load of the trial iterate, which the next inner solve then
+reuses; the hats' gradient Luxemburg norms are built from their element
+patches in one batched root-find and kept on the mesh, so the Picard loop
+and a caller re-checking the residual at the returned iterate share one
+build.  Existence requires the coercivity margin of the declared growth
+constants to be positive; that margin is checked before any iteration runs.
 """
 
 from __future__ import annotations
@@ -237,7 +243,9 @@ class FactorCarry:
     - the new factor is kept only if it has at least PCG_MIN_FACTOR_NNZ
       stored entries.
 
-    The caller drops ``precond`` after a damped or non-decreasing Newton step.
+    The caller drops ``precond`` after a damped or non-decreasing Newton step,
+    and after a step from a zero-gradient iterate on a nonlinear phase, whose
+    matrix only stands in for J there (see the module docstring).
     ``factorizations`` counts preconditioner builds, an LU of J or a V-cycle
     whose coarsest level is factored, and ``pcg_iterations`` every CG
     iteration, of the solves made through the object.  One carry passed to a
@@ -352,8 +360,13 @@ def solve_monotone(
                 f"Newton did not converge in {opts.max_newton} iterations "
                 f"(residual {res_norm:.3e}, tol {opts.newton_tol:.3e})"
             )
-        jac = assemble_jacobian(u, phase, opts.order, opts.eps_reg)
+        zero_start = not np.any(u.gradients)
+        jac = assemble_jacobian(u, phase, opts.order, 1.0 if zero_start else opts.eps_reg)
         delta = linear.solve(jac, -asm.residual, mesh.prolongators())
+        if zero_start:  # its preconditioner is kept only where the stand-in is J(0)
+            p, q, mu, _ = phase.at_quadrature(mesh, opts.order)
+            if np.any(p != 2.0) or np.any(mu * (q - 2.0)):
+                linear.precond = None
         phi0 = merit[-1]
         slope = -2.0 * phi0  # directional derivative of phi along delta
         t = 1.0
@@ -361,7 +374,8 @@ def solve_monotone(
             vals = u.values.copy()
             vals[free] += t * delta
             trial = DiscreteFunction(mesh, vals, zero_boundary=True)
-            trial_asm = assemble_residual(trial, phase, load, opts.order)
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite: rejected
+                trial_asm = assemble_residual(trial, phase, load, opts.order)
             phi = _merit(trial_asm.residual)
             if np.isfinite(phi) and phi <= phi0 + opts.armijo * t * slope:
                 break

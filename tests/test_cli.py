@@ -1,10 +1,16 @@
 """The command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpkit
+import dpkit.solve
 from dpkit.cli import main
 
 
@@ -304,18 +310,60 @@ def test_solve_non_finite_phase_exits_two(tmp_path, capsys, recwarn):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_solve_merit_overflow_is_a_quiet_numeric_failure(tmp_path, capsys):
-    # at u = 0 the regularized Jacobian is tiny for p = 6, so the first
-    # trial's residual squares overflow in the line-search merit
+def test_solve_merit_overflow_is_a_quiet_numeric_failure(tmp_path, capsys, monkeypatch):
+    # for p = 6 and a load of 1e30 the squares of the trial residuals
+    # overflow in the line-search merit; every such trial is rejected
+    # without a numpy warning
+    merits = []
+    merit = dpkit.solve._merit
+
+    def recorded_merit(residual):
+        merits.append(merit(residual))
+        return merits[-1]
+
+    monkeypatch.setattr(dpkit.solve, "_merit", recorded_merit)
     cfgpath = write_config(
         tmp_path,
         mesh={"kind": "rect", "nx": 8, "ny": 8},
         fields={"p": 6.0, "q": 8.0, "mu": 1.0},
-        problem={"kind": "rhs", "expr": "1"},
+        problem={"kind": "rhs", "expr": "1e30"},
     )
     assert main(["solve", str(cfgpath)]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("numeric failure: Newton line search stalled")
+    assert len(err) == 1
+    assert err[0].startswith("numeric failure: Newton line search stalled")
+    assert err[0].endswith("(iteration 0)")
+    assert np.isinf(merits).any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_trial_residual_overflow_is_a_quiet_numeric_failure(tmp_path, capsys):
+    # at a load of 1e60 the trial steps overflow the power weights of the
+    # residual itself; such trials read non-finite and are rejected
+    cfgpath = write_config(
+        tmp_path,
+        mesh={"kind": "rect", "nx": 8, "ny": 8},
+        fields={"p": 6.0, "q": 8.0, "mu": 1.0},
+        problem={"kind": "rhs", "expr": "1e60"},
+    )
+    assert main(["solve", str(cfgpath)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numeric failure: Newton line search stalled")
+
+
+def test_importing_the_cli_loads_no_quadrature_or_root_finder():
+    # scipy.integrate and scipy.optimize serve only sobolev_conjugate_inverse
+    code = (
+        "import sys, dpkit, dpkit.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
+    src = str(Path(dpkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_solve_output_dir_override(tmp_path):

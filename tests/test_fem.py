@@ -30,6 +30,7 @@ from dpkit.operator import assemble_jacobian, assemble_load
 from dpkit.solve import weak_residual
 
 from conftest import random_nodal, sine_bump
+import rect_mesh_reference
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,16 @@ def test_rect_mesh_counts_and_area():
     # boundary of a 4x5 grid: the outer ring
     assert mesh.boundary_nodes.size == 2 * 4 + 2 * 5
     assert mesh.free_nodes.size == 3 * 4
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (31, 17), (48, 48)])
+def test_rect_mesh_matches_the_cell_loop_reference(nx, ny):
+    mesh = build_rect_mesh((0.0, 2.0), (-1.0, 0.5), nx, ny)
+    want = rect_mesh_reference.rect_arrays((0.0, 2.0), (-1.0, 0.5), nx, ny)
+    for got, want in zip((mesh.nodes, mesh.elements, mesh.boundary_nodes), want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    assert mesh.grid == (nx, ny)
 
 
 def test_mesh_rejects_negative_orientation():

@@ -103,8 +103,8 @@ def test_poisson_2d_accuracy():
 @pytest.mark.parametrize(
     "name, n, newton, outer",
     [
-        ("dp-1d", 128, 5, 1),
-        ("dp-1d", 256, 5, 1),
+        ("dp-1d", 128, 4, 1),
+        ("dp-1d", 256, 4, 1),
         ("poisson-2d", 16, 1, 0),
         ("poisson-2d", 32, 2, 0),
         ("convection-linear", 64, 9, 9),
@@ -119,6 +119,61 @@ def test_builtin_iteration_counts_pinned(name, n, newton, outer):
 
 def _sine_forcing(pts):
     return 1.0 + np.sin(np.pi * pts[:, 0]) * np.sin(2.0 * np.pi * pts[:, 1])
+
+
+class _RecordingCarry(FactorCarry):
+    """A FactorCarry that records what it holds when each Newton step starts."""
+
+    __slots__ = ("held",)
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+
+    def solve(self, jac, rhs, prolongators=()):
+        self.held.append(self.precond)
+        return super().solve(jac, rhs, prolongators)
+
+
+@pytest.mark.parametrize("n, pcg_iterations", [(32, 12), (64, 14)])
+def test_linear_zero_start_keeps_its_preconditioner(n, pcg_iterations):
+    # on a linear phase the unit-gradient stand-in is J(0) itself, so its
+    # V-cycle preconditions the second step
+    case = manufactured_case("poisson-2d")
+    carry = _RecordingCarry()
+    rep = solve_monotone(case.phase, case.build_mesh(n), case.rhs, carry=carry)
+    assert rep.converged and rep.newton_iterations == 2
+    assert (rep.factorizations, rep.pcg_iterations) == (1, pcg_iterations)
+    assert carry.held[0] is None and isinstance(carry.held[1], VCycle)
+
+
+def test_nonlinear_zero_start_keeps_no_preconditioner(crossing_phase):
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 32, 32)
+    carry = _RecordingCarry()
+    rep = solve_monotone(crossing_phase, mesh, _sine_forcing, carry=carry)
+    assert rep.converged and rep.newton_iterations == 5
+    # one V-cycle for the stand-in, dropped after its step, and one built at
+    # the second step that preconditions every later one
+    assert rep.factorizations == 2
+    assert carry.held[:2] == [None, None]
+    assert all(isinstance(kept, VCycle) for kept in carry.held[2:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p, q", [(4.0, 6.0), (6.0, 8.0)])
+def test_large_exponents_converge_from_the_zero_start(p, q, dim, scale):
+    # at eps_reg the Jacobian at u = 0 is about eps_reg^(p-2), and no
+    # backtracking shortens its step enough
+    if dim == 1:
+        mesh = build_interval_mesh(0.0, 1.0, 512)
+    else:
+        mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 48, 48)
+    phase = constant_phase(p, q, 1.0, dim=dim)
+    opts = SolverOptions()
+    rep = solve_monotone(phase, mesh, lambda pts: np.full(pts.shape[0], scale), opts)
+    assert rep.converged and rep.residual <= opts.newton_tol
 
 
 def test_failed_pcg_refactors_every_step(monkeypatch, crossing_phase):
