@@ -46,6 +46,8 @@ from .fem import (
 )
 from .fields import DoublePhase, ScalarField
 from .io import _check_node_index, load_mesh, load_node_table
+from .modular import DEFAULT_NORM_TOL
+from .operator import DEFAULT_EPS_REG
 from .problems import ManufacturedCase, manufactured_case
 from .solve import ConvectionTerm, SolverOptions
 
@@ -54,7 +56,7 @@ __all__ = ["Tolerances", "RunConfig", "load_config", "parse_config"]
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm_tol: float = 1e-12
+    norm_tol: float = DEFAULT_NORM_TOL
     newton_tol: float = 1e-10
     outer_tol: float = 1e-10
     eigen_tol: float = 1e-10
@@ -314,7 +316,7 @@ def parse_config(data: dict, base_dir=".") -> RunConfig:
         raise ConfigError(
             f"config.quadrature_order must be at most {MAX_QUAD_ORDER}, got {order}"
         )
-    eps_reg = _number(data, "eps_reg", "config", default=1e-8, positive=True)
+    eps_reg = _number(data, "eps_reg", "config", default=DEFAULT_EPS_REG, positive=True)
     seed = _integer(data, "seed", "config", 0, 0)
     output_dir = Path(data.get("output_dir", "out"))
     if not output_dir.is_absolute():

@@ -3,13 +3,17 @@
 A :class:`ScalarField` is a scalar coefficient sampled at arbitrary points:
 the exponents p, q, the weight mu, and any data coefficients all use it.
 :class:`DoublePhase` bundles the triple (p, q, mu) together with the ambient
-dimension N that enters the Sobolev-exponent formulas.
+dimension N that enters the Sobolev-exponent formulas; its admissibility
+rule (finite samples, p, q > 1, mu >= 0) guards every fill of the
+quadrature samples, so assemblies, modulars, norms and solves reject a
+phase that breaks it.
 
-The ``check_*`` functions evaluate the structural conditions on a mesh's
-node and quadrature samples and return a :class:`ConditionReport`; failures
-are report entries with witness points, never exceptions.  All continuity
-moduli (Lipschitz / Hölder / log-Hölder constants) are empirical maxima over
-a budgeted pair set and therefore lower bounds of the true constants.
+The ``check_*`` functions sample through :meth:`DoublePhase.at` instead and
+evaluate the structural conditions on a mesh's node and quadrature samples;
+failures, an inadmissible phase's included, are :class:`ConditionReport`
+entries with witness points, never exceptions.  All continuity moduli
+(Lipschitz / Hölder / log-Hölder constants) are empirical maxima over a
+budgeted pair set and therefore lower bounds of the true constants.
 """
 
 from __future__ import annotations
@@ -171,14 +175,14 @@ class DoublePhase:
         The mesh keeps the latest samples per order in :meth:`Mesh.cached`,
         keyed by the three field objects: reassigning a field (say
         ``phase.mu``) misses the cache, and a new phase frees the old samples.
-        Each fill checks that the samples are finite (ValueError, as
-        :meth:`validate` raises).
+        Each fill applies :meth:`validate`'s rule to the samples (the same
+        ValueError), so no assembly, modular or norm runs on a bad phase.
         """
 
         def build():
             pts, w, _ = mesh.quadrature_points(order)
             pqmu = self.at(pts)
-            _check_finite(pqmu)
+            _check_admissible(*pqmu)
             return (*pqmu, w)
 
         return mesh.cached(("phase", order), (self.p, self.q, self.mu), build)
@@ -193,20 +197,18 @@ class DoublePhase:
 
     def validate(self, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> None:
         """Raise ValueError unless p, q > 1 and mu >= 0 on the sample set."""
-        pts = sample_points(mesh, order)
-        p, q, mu = self.at(pts)
-        _check_finite((p, q, mu))
-        if p.min() <= 1.0 or q.min() <= 1.0:
-            raise ValueError("exponent fields must satisfy p, q > 1 on the mesh")
-        if mu.min() < 0.0:
-            raise ValueError("the weight mu must be nonnegative")
+        _check_admissible(*self.at(sample_points(mesh, order)))
 
 
-def _check_finite(pqmu) -> None:
-    """ValueError naming the first of the sampled (p, q, mu) with a non-finite value."""
-    for name, vals in zip(("p", "q", "mu"), pqmu):
+def _check_admissible(p, q, mu) -> None:
+    """ValueError unless the sampled (p, q, mu) are finite, p, q > 1 and mu >= 0."""
+    for name, vals in zip(("p", "q", "mu"), (p, q, mu)):
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"field {name} takes non-finite values on the mesh")
+    if p.min() <= 1.0 or q.min() <= 1.0:
+        raise ValueError("exponent fields must satisfy p, q > 1 on the mesh")
+    if mu.min() < 0.0:
+        raise ValueError("the weight mu must be nonnegative")
 
 
 def constant_phase(p: float, q: float, mu: float, dim: int = 2) -> DoublePhase:
@@ -292,13 +294,16 @@ def field_bounds(field: ScalarField, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER
     return float(vals.min()), float(vals.max())
 
 
+def _critical_exponent(p, dim) -> np.ndarray:
+    """N p / (N - p) of a float array, +inf where p >= N; a NaN p stays NaN."""
+    above = p >= dim
+    return np.where(above, np.inf, dim * p / np.where(above, 1.0, dim - p))
+
+
 def critical_exponent(p: ScalarField, x, dim: int) -> float:
     """The Sobolev conjugate exponent N p(x) / (N - p(x)) at a point."""
-    val = p(np.atleast_1d(np.asarray(x, dtype=float)))
-    val = float(np.asarray(val).reshape(-1)[0])
-    if val >= dim:
-        raise ValueError(f"critical exponent undefined: p(x) = {val} >= N = {dim}")
-    return dim * val / (dim - val)
+    val = critical_exponent_field(p, dim)(np.atleast_1d(np.asarray(x, dtype=float)))
+    return float(np.asarray(val).reshape(-1)[0])
 
 
 def critical_exponent_field(p: ScalarField, dim: int) -> ScalarField:
@@ -311,7 +316,7 @@ def critical_exponent_field(p: ScalarField, dim: int) -> ScalarField:
             raise ValueError(
                 f"critical exponent undefined at {bad.tolist()}: p >= N = {dim}"
             )
-        return dim * vals / (dim - vals)
+        return _critical_exponent(vals, dim)
 
     return ScalarField(fn, "callback", {"derived": "critical-exponent"})
 
@@ -366,9 +371,7 @@ def check_condition_H(
     report.condition = "H"
     pts = sample_points(mesh, order)
     p, q, mu = phase.at(pts)
-    N = phase.dim
-    ok = p < N
-    crit = np.where(ok, N * p / np.where(ok, N - p, 1.0), np.inf)
+    crit = _critical_exponent(p, phase.dim)
     report.checks.append(_extremum_check("q < p*", crit - q, pts))
     report.checks.append(_finite_check("mu bounded", mu.max()))
     return report

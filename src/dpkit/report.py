@@ -4,12 +4,15 @@ The standard json module formats floats with repr, whose digit count depends
 on the value; reports here always use 17 significant digits, sort object keys,
 and map non-finite floats to the strings "inf", "-inf", "nan" (plain JSON has
 no spelling for them).  Identical data therefore serializes to identical
-bytes, which is what makes rerun-comparison tests meaningful.
+bytes, which is what makes rerun-comparison tests meaningful.  Strings are
+written by ``json.dumps(s, ensure_ascii=False)``: non-ASCII text as is, and
+backspace, tab, newline, form feed and carriage return as short escapes.
 """
 
 from __future__ import annotations
 
 import datetime
+import json
 from pathlib import Path
 
 import numpy as np
@@ -26,20 +29,6 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def _dump(obj, parts: list, indent: int) -> None:
     pad = "  " * indent
     if obj is None:
@@ -51,7 +40,7 @@ def _dump(obj, parts: list, indent: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
-        parts.append(f'"{_escape(obj)}"')
+        parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -61,7 +50,7 @@ def _dump(obj, parts: list, indent: int) -> None:
         for k, key in enumerate(keys):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            parts.append(f'{pad}  "{_escape(key)}": ')
+            parts.append(f"{pad}  {json.dumps(key, ensure_ascii=False)}: ")
             _dump(obj[key], parts, indent + 1)
             parts.append(",\n" if k + 1 < len(keys) else "\n")
         parts.append(pad + "}")

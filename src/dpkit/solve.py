@@ -35,8 +35,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericError, PreconditionError
 from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh
-from .fields import ConditionReport, DoublePhase, ScalarField, _extremum_check, field_bounds
-from .modular import _hat_norms, luxemburg_norm
+from .fields import ConditionReport, DoublePhase, ScalarField, field_bounds
+from .fields import _critical_exponent, _extremum_check
+from .modular import DEFAULT_NORM_TOL, _hat_norms, luxemburg_norm
 from .eigen import coercivity_margin, first_eigenvalue, uniqueness_margin
 from .operator import (
     DEFAULT_EPS_REG,
@@ -86,12 +87,12 @@ class SolverOptions:
     min_theta: float = 1.0 / 16.0
     armijo: float = 1e-4
     max_backtracks: int = 50
-    norm_tol: float = 1e-12
+    norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
         for name in ("newton_tol", "outer_tol", "weak_tol", "norm_tol", "eps_reg"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("max_newton", "max_outer", "max_backtracks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -430,7 +431,7 @@ def weak_residual(
     term,
     phase: DoublePhase,
     order: int = DEFAULT_QUAD_ORDER,
-    norm_tol: float = 1e-12,
+    norm_tol: float = DEFAULT_NORM_TOL,
 ) -> float:
     """Normalized dual-norm residual of A(u) = f over the free nodal hats.
 
@@ -557,8 +558,7 @@ def check_growth(
     nxi = np.sqrt(np.sum(xi**2, axis=1))
     report = ConditionReport("growth")
 
-    N = phase.dim
-    crit = np.where(p < N, N * p / np.maximum(N - p, 1e-300), np.inf)
+    crit = _critical_exponent(p, phase.dim)
     report.checks.append(_extremum_check("r < p*", crit - rv, x))
 
     bound_i = (

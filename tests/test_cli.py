@@ -309,6 +309,54 @@ def test_solve_non_finite_phase_exits_two(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
+MU_NEGATIVE = "the weight mu must be nonnegative"
+EXPONENT_AT_MOST_ONE = "exponent fields must satisfy p, q > 1 on the mesh"
+RECT_8 = {"kind": "rect", "nx": 8, "ny": 8}
+
+
+@pytest.mark.parametrize(
+    "mesh, fields, message, failing_check",
+    [
+        (None, {"p": 2.0, "q": 3.0, "mu": -0.5, "dim": 3}, MU_NEGATIVE, "mu >= 0"),
+        (
+            None,
+            {"p": 2.0, "q": 3.0, "mu": {"kind": "expr", "expr": "x - 0.5"}, "dim": 3},
+            MU_NEGATIVE,
+            "mu >= 0",
+        ),
+        (RECT_8, {"p": 2.0, "q": 3.0, "mu": -1.0}, MU_NEGATIVE, "mu >= 0"),
+        (RECT_8, {"p": 0.5, "q": 3.0, "mu": 1.0}, EXPONENT_AT_MOST_ONE, "p > 1"),
+        (RECT_8, {"p": 2.0, "q": 0.5, "mu": 1.0}, EXPONENT_AT_MOST_ONE, "q >= 1"),
+    ],
+    ids=["mu-negative", "mu-sign-change", "mu-negative-2d", "p-below-one", "q-below-one"],
+)
+def test_solve_rejects_inadmissible_phase_that_validate_reports(
+    tmp_path, capsys, mesh, fields, message, failing_check
+):
+    extra = {"mesh": mesh} if mesh else {}
+    cfgpath = write_config(
+        tmp_path, fields=fields, problem={"kind": "rhs", "expr": "1"}, **extra
+    )
+    assert main(["solve", str(cfgpath), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid input: {message}" in err
+    assert "Traceback" not in err
+    assert main(["validate", str(cfgpath), "--no-timestamp"]) == 1
+    assert f"  {failing_check}: margin" in capsys.readouterr().out
+    checks = [c for r in read_report(tmp_path)["reports"].values() for c in r["checks"]]
+    assert any(c["name"] == failing_check and not c["passed"] for c in checks)
+
+
+def test_norm_rejects_negative_weight(tmp_path, capsys):
+    cfgpath = write_config(tmp_path, fields={"p": 2.0, "q": 3.0, "mu": -0.5, "dim": 3})
+    fn = tmp_path / "u.csv"
+    values = np.sin(np.pi * np.linspace(0.0, 1.0, 33)).tolist()
+    rows = ["node_index,value"] + [f"{i},{v!r}" for i, v in enumerate(values)]
+    fn.write_text("\n".join(rows) + "\n")
+    assert main(["norm", str(cfgpath), "--input", str(fn), "--no-timestamp"]) == 2
+    assert f"invalid input: {MU_NEGATIVE}" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_merit_overflow_is_a_quiet_numeric_failure(tmp_path, capsys, monkeypatch):
     # for p = 6 and a load of 1e30 the squares of the trial residuals

@@ -28,6 +28,7 @@ from dpkit.fields import (
 )
 from dpkit.properties import _random_smooth_triples
 
+import critical_exponent_reference
 import pairs_reference
 
 
@@ -129,6 +130,34 @@ def test_critical_exponent_field_dominates_q(interval_mesh, dp_phase):
     pstar = critical_exponent_field(dp_phase.p, dp_phase.dim)
     pts = sample_points(interval_mesh)
     assert np.all(pstar(pts) > dp_phase.q(pts))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_critical_exponent_is_the_old_four_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    edge = [float(dim), np.nextafter(dim, 0.0), np.nextafter(dim, np.inf)]
+    p = np.concatenate([edge, rng.uniform(0.5, 2.0 * dim, 20_000)])
+    below = p < dim
+    new = fields._critical_exponent(p, dim)
+    assert new.tobytes() == critical_exponent_reference.condition_H(p, dim).tobytes()
+    assert new.tobytes() == critical_exponent_reference.growth(p, dim).tobytes()
+    assert np.all(new[~below] == np.inf)
+
+    ident = ScalarField.from_callable(lambda pts: pts[:, 0])
+    undefined = f"critical exponent undefined at [{float(dim)}]: p >= N = {dim}"
+    for form in (critical_exponent_field, critical_exponent_reference.critical_exponent_field):
+        assert form(ident, dim)(p[below][:, None]).tobytes() == new[below].tobytes()
+        with pytest.raises(ValueError) as err:
+            form(ident, dim)(p[:, None])
+        assert str(err.value) == undefined
+    for x, expected in zip(p[:500], new[:500]):
+        if x < dim:
+            assert critical_exponent(ident, [x], dim) == expected
+            assert critical_exponent_reference.critical_exponent(ident, [x], dim) == expected
+        else:
+            with pytest.raises(ValueError, match="critical exponent undefined at"):
+                critical_exponent(ident, [x], dim)
 
 
 # ---------------------------------------------------------------------------

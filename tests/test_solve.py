@@ -11,6 +11,7 @@ from dpkit.config import parse_config
 from dpkit.errors import NumericError, PreconditionError
 from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh, interpolate
 from dpkit.fields import ScalarField, constant_phase
+from dpkit.modular import luxemburg_norm
 from dpkit.problems import growth_example_term, manufactured_case
 from dpkit.operator import assemble_jacobian
 from dpkit.solve import (
@@ -43,6 +44,23 @@ def test_solver_options_validation():
         SolverOptions(max_newton=0)
     with pytest.raises(ValueError):
         SolverOptions(theta=1.5)
+
+
+@pytest.mark.parametrize("name", ["newton_tol", "outer_tol", "weak_tol", "norm_tol", "eps_reg"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_solver_options_reject_non_finite_tolerances(name, value):
+    # newton_tol = inf would return u = 0 as converged after no step
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        SolverOptions(**{name: value})
+
+
+def test_solve_and_norm_reject_negative_weight(interval_mesh):
+    phase = constant_phase(2.0, 3.0, -0.5, dim=3)
+    with pytest.raises(ValueError, match="the weight mu must be nonnegative"):
+        solve_monotone(phase, interval_mesh, lambda pts: np.ones(pts.shape[0]))
+    u = interpolate(interval_mesh, lambda pts: np.sin(np.pi * pts[:, 0]))
+    with pytest.raises(ValueError, match="the weight mu must be nonnegative"):
+        luxemburg_norm(u, phase)
 
 
 def test_convection_term_validates_constants():
