@@ -241,15 +241,12 @@ def cmd_solve(args) -> int:
 
     cfg = _load(args)
     opts = cfg.solver_options()
-    case = cfg.case
-    if case is not None:
-        phase, term, rhs = case.phase, case.term, case.rhs
-    elif cfg.term is not None or cfg.rhs is not None:
-        phase, term, rhs = cfg.require_phase(), cfg.term, cfg.rhs
-    else:
+    case, term, rhs = cfg.case, cfg.term, cfg.rhs
+    if term is None and rhs is None:
         from .errors import ConfigError
 
         raise ConfigError("config has no problem to solve (add 'problem')")
+    phase = cfg.require_phase()
     if term is not None:
         rep = solve_convection(phase, cfg.mesh, term, opts)
         recomputed = weak = weak_residual(rep.u, term, phase, opts.order, opts.norm_tol)

@@ -22,8 +22,9 @@ Field specs accept kinds ``constant``, ``affine``, ``table`` (a CSV of
 node_index,value rows on the config mesh) and ``expr`` (an expression in the
 coordinates).  Problems are either a built-in case name, a plain right-hand
 side ``{"kind": "rhs", "expr": ...}``, or a convection term with declared
-growth constants.  All structural errors raise ConfigError, which the CLI
-maps to exit code 2.
+growth constants.  A built-in case brings its own phase, which replaces
+``fields`` for every command.  All structural errors raise ConfigError,
+which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -94,11 +95,9 @@ class RunConfig:
         )
 
     def require_phase(self) -> DoublePhase:
-        if self.phase is not None:
-            return self.phase
-        if self.case is not None:
-            return self.case.phase
-        raise ConfigError("config declares neither fields nor a built-in problem")
+        if self.phase is None:
+            raise ConfigError("config declares neither fields nor a built-in problem")
+        return self.phase
 
 
 def _require(data: dict, key: str, where: str):
@@ -242,7 +241,7 @@ def _term_evaluator(expr_text: str, mesh: Mesh):
 
 
 def _build_problem(spec, mesh: Mesh, base_dir: Path):
-    """Returns (case, rhs, term); exactly one is non-None."""
+    """Returns (case, rhs, term); a built-in case also brings its rhs or term."""
     if not isinstance(spec, dict):
         raise ConfigError("'problem' must be an object")
     kind = _require(spec, "kind", "problem")
@@ -256,7 +255,7 @@ def _build_problem(spec, mesh: Mesh, base_dir: Path):
             raise ConfigError(
                 f"case {case.name!r} needs a {case.mesh_dim}d mesh, config mesh is {mesh.dim}d"
             )
-        return case, None, None
+        return case, case.rhs, case.term
     if kind == "rhs":
         allowed = ("x", "y")[: mesh.dim]
         try:
@@ -304,6 +303,8 @@ def parse_config(data: dict, base_dir=".") -> RunConfig:
     case = rhs = term = None
     if "problem" in data:
         case, rhs, term = _build_problem(data["problem"], mesh, base_dir)
+    if case is not None:
+        phase = case.phase  # one phase per config, for every command
     tol_spec = data.get("tolerances", {})
     if not isinstance(tol_spec, dict):
         raise ConfigError("'tolerances' must be an object")

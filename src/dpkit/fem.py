@@ -11,9 +11,10 @@ A mesh keeps everything else it builds on first use in one cache,
 :meth:`Mesh.cached`, with one value per slot and every array read-only, so
 an in-place edit raises: quadrature points and weights per order, the
 Gram block ``Mesh.gram``, the free x free CSR pattern of ``Mesh.scatter_free``,
-the multigrid prolongators of ``Mesh.prolongators`` and, rebuilt when a field
-object changes, the (p, q, mu) samples of ``DoublePhase.at_quadrature`` and
-the hat norms of ``modular._hat_norms``.
+the edge list ``Mesh.edges``, the multigrid prolongators of
+``Mesh.prolongators`` and, rebuilt when a field object changes, the
+(p, q, mu) samples of ``DoublePhase.at_quadrature`` and the hat norms of
+``modular._hat_norms``.
 """
 
 from __future__ import annotations
@@ -261,14 +262,15 @@ class Mesh:
         """Unique vertex pairs connected by an element edge, shape (nedges, 2).
 
         Each row (i, j) has i < j, the rows are sorted by (i, j) and the
-        dtype is the elements' int dtype.
+        dtype is the elements' int dtype.  Built on first use, read-only.
         """
-        elems = self.elements
-        if self.dim == 1:
-            pairs = elems
-        else:
-            pairs = np.vstack([elems[:, [0, 1]], elems[:, [1, 2]], elems[:, [0, 2]]])
-        return _unique_pairs(np.sort(pairs, axis=1), self.num_nodes)
+
+        def build():
+            ends = [0, 1] if self.dim == 1 else [0, 1, 1, 2, 0, 2]  # local edge ends
+            pairs = np.sort(self.elements[:, ends].reshape(-1, 2), axis=1)
+            return _unique_pairs(pairs, self.num_nodes)
+
+        return self.cached("edges", (), build)
 
 
 def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:

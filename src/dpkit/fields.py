@@ -8,12 +8,14 @@ rule (finite samples, p, q > 1, mu >= 0) guards every fill of the
 quadrature samples, so assemblies, modulars, norms and solves reject a
 phase that breaks it.
 
-The ``check_*`` functions sample through :meth:`DoublePhase.at` instead and
-evaluate the structural conditions on a mesh's node and quadrature samples;
-failures, an inadmissible phase's included, are :class:`ConditionReport`
-entries with witness points, never exceptions.  All continuity moduli
-(Lipschitz / Hölder / log-Hölder constants) are empirical maxima over a
-budgeted pair set and therefore lower bounds of the true constants.
+The ``check_*`` functions sample through :meth:`DoublePhase.at` instead,
+once per call, at a mesh's nodes and quadrature points, and build every
+margin check through one builder, ``_extremum_check``.  Failures, an
+inadmissible phase's and non-finite samples included, are
+:class:`ConditionReport` entries with witness points, never exceptions.  All
+continuity moduli (Lipschitz / Hölder / log-Hölder constants) are empirical
+maxima over a budgeted pair set and therefore lower bounds of the true
+constants.
 """
 
 from __future__ import annotations
@@ -321,23 +323,21 @@ def critical_exponent_field(p: ScalarField, dim: int) -> ScalarField:
     return ScalarField(fn, "callback", {"derived": "critical-exponent"})
 
 
-def _extremum_check(
-    name, values, points, *, strict=True, floor=0.0, **extra
-) -> ConditionCheck:
+def _extremum_check(name, margins, *, strict=True, floor=0.0, **witness) -> ConditionCheck:
     """Build a check from per-sample margins (pass iff min margin > / >= floor).
 
-    A failing check carries the worst sample's point as its witness, plus
-    that sample's entry of every ``extra`` per-sample array (e.g. ``s=s``).
+    A failing check's witness is the worst sample's entry of every keyword
+    array (``point=``, ``s=``, ``xi=``, ``x=``, ``y=``); with no array
+    passed it has none.
     """
-    values = np.asarray(values, dtype=float)
-    k = int(np.argmin(values))
-    margin = float(values[k])
+    margins = np.asarray(margins, dtype=float)
+    k = int(np.argmin(margins))
+    margin = float(margins[k])
     passed = margin > floor if strict else margin >= floor
-    witness = None
-    if not passed:
-        witness = {"point": [float(c) for c in points[k]]}
-        witness.update((key, np.asarray(arr)[k].tolist()) for key, arr in extra.items())
-    return ConditionCheck(name, passed, margin, witness)
+    found = None
+    if not passed and witness:
+        found = {key: np.asarray(arr)[k].tolist() for key, arr in witness.items()}
+    return ConditionCheck(name, passed, margin, found)
 
 
 def _finite_check(name, value) -> ConditionCheck:
@@ -345,36 +345,43 @@ def _finite_check(name, value) -> ConditionCheck:
     return ConditionCheck(name, bool(np.isfinite(value)), value)
 
 
+def _samples(phase: DoublePhase, mesh: Mesh, order: int):
+    """The points of :func:`sample_points` and (p, q, mu) at them."""
+    pts = sample_points(mesh, order)
+    return (pts, *phase.at(pts))
+
+
+def _base_checks(phase: DoublePhase, mesh: Mesh, order: int, pts, p, q, mu) -> list:
+    """The five (base) checks on the samples of :func:`_samples`."""
+    _, w, _ = mesh.quadrature_points(order)
+    mu_quad = mu[mesh.num_nodes :].reshape(w.shape)  # the nodes come first
+    return [
+        _extremum_check("p > 1", p - 1.0, point=pts),
+        _extremum_check("p < N", phase.dim - p, point=pts),
+        _extremum_check("p < q", q - p, point=pts),
+        _extremum_check("mu >= 0", mu, strict=False, point=pts),
+        _finite_check("mu integrable", np.sum(w * mu_quad)),
+    ]
+
+
 def check_condition_base(
     phase: DoublePhase, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER
 ) -> ConditionReport:
     """Baseline structure: 1 < p < N, p < q, mu >= 0, mu integrable."""
-    pts = sample_points(mesh, order)
-    p, q, mu = phase.at(pts)
-    N = phase.dim
-    report = ConditionReport("base")
-    report.checks.append(_extremum_check("p > 1", p - 1.0, pts))
-    report.checks.append(_extremum_check("p < N", N - p, pts))
-    report.checks.append(_extremum_check("p < q", q - p, pts))
-    report.checks.append(_extremum_check("mu >= 0", mu, pts, strict=False))
-    _, w, _ = mesh.quadrature_points(order)
-    mu_q = mesh.sample(phase.mu, order)
-    report.checks.append(_finite_check("mu integrable", np.sum(w * mu_q)))
-    return report
+    return ConditionReport("base", _base_checks(phase, mesh, order, *_samples(phase, mesh, order)))
 
 
 def check_condition_H(
     phase: DoublePhase, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER
 ) -> ConditionReport:
     """Condition (H): base plus q < p* pointwise and mu bounded."""
-    report = check_condition_base(phase, mesh, order)
-    report.condition = "H"
-    pts = sample_points(mesh, order)
-    p, q, mu = phase.at(pts)
+    pts, p, q, mu = samples = _samples(phase, mesh, order)
     crit = _critical_exponent(p, phase.dim)
-    report.checks.append(_extremum_check("q < p*", crit - q, pts))
-    report.checks.append(_finite_check("mu bounded", mu.max()))
-    return report
+    checks = _base_checks(phase, mesh, order, *samples) + [
+        _extremum_check("q < p*", crit - q, point=pts),
+        _finite_check("mu bounded", mu.max()),
+    ]
+    return ConditionReport("H", checks)
 
 
 def check_condition_Hprime(
@@ -390,18 +397,15 @@ def check_condition_Hprime(
     With ``relaxed=True`` the ratio inequality is tested non-strictly,
     matching the density statement that only needs q+/p- <= 1 + 1/N.
     """
-    report = check_condition_base(phase, mesh, order)
-    report.condition = "Hprime-relaxed" if relaxed else "Hprime"
-    p_minus, _ = field_bounds(phase.p, mesh, order)
-    _, q_plus = field_bounds(phase.q, mesh, order)
-    gap = 1.0 + 1.0 / phase.dim - q_plus / p_minus
+    _, p, q, _ = samples = _samples(phase, mesh, order)
+    gap = 1.0 + 1.0 / phase.dim - q.max() / p.min()
     name = "q+/p- <= 1 + 1/N" if relaxed else "q+/p- < 1 + 1/N"
-    passed = gap >= 0.0 if relaxed else gap > 0.0
-    report.checks.append(ConditionCheck(name, passed, float(gap)))
+    checks = _base_checks(phase, mesh, order, *samples)
+    checks.append(_extremum_check(name, [gap], strict=not relaxed))
     for label, fld in (("p", phase.p), ("q", phase.q), ("mu", phase.mu)):
         c = estimate_holder(fld, mesh, 1.0, pair_budget=pair_budget, seed=seed)
-        report.checks.append(_finite_check(f"lipschitz constant {label} (empirical)", c))
-    return report
+        checks.append(_finite_check(f"lipschitz constant {label} (empirical)", c))
+    return ConditionReport("Hprime-relaxed" if relaxed else "Hprime", checks)
 
 
 def check_condition_Hpp(
@@ -416,20 +420,29 @@ def check_condition_Hpp(
     The decay part of the log-Hölder condition concerns unbounded domains
     and is not tested on (bounded) meshes.
     """
-    pts = sample_points(mesh, order)
-    p, q, mu = phase.at(pts)
-    report = ConditionReport("Hpp")
-    report.checks.append(_extremum_check("p >= 1", p - 1.0, pts, strict=False))
-    report.checks.append(_extremum_check("q >= 1", q - 1.0, pts, strict=False))
-    report.checks.append(_extremum_check("p <= q", q - p, pts, strict=False))
-    report.checks.append(_extremum_check("mu >= 0", mu, pts, strict=False))
-    report.checks.append(_finite_check("mu bounded", mu.max()))
-    report.checks.append(_finite_check("p bounded", p.max()))
-    report.checks.append(_finite_check("q bounded", q.max()))
+    pts, p, q, mu = _samples(phase, mesh, order)
+    checks = [
+        _extremum_check("p >= 1", p - 1.0, strict=False, point=pts),
+        _extremum_check("q >= 1", q - 1.0, strict=False, point=pts),
+        _extremum_check("p <= q", q - p, strict=False, point=pts),
+        _extremum_check("mu >= 0", mu, strict=False, point=pts),
+        _finite_check("mu bounded", mu.max()),
+        _finite_check("p bounded", p.max()),
+        _finite_check("q bounded", q.max()),
+    ]
     for label, fld in (("p", phase.p), ("q", phase.q)):
         c = estimate_log_holder(fld, mesh, pair_budget=pair_budget, seed=seed)
-        report.checks.append(_finite_check(f"log-holder constant {label} (empirical)", c))
-    return report
+        checks.append(_finite_check(f"log-holder constant {label} (empirical)", c))
+    return ConditionReport("Hpp", checks)
+
+
+def _pair_increments(field: ScalarField, mesh: Mesh, pair_budget, seed, below=np.inf):
+    """|x - y| and |f(x) - f(y)| over the sampled node pairs with 0 < |x - y| < below."""
+    i, j = sample_pairs(mesh, pair_budget, seed)
+    xi, xj = mesh.nodes[i], mesh.nodes[j]
+    dist = np.sqrt(np.sum((xi - xj) ** 2, axis=1))
+    keep = (dist > 0.0) & (dist < below)
+    return dist[keep], np.abs(field(xi[keep]) - field(xj[keep]))
 
 
 def estimate_holder(
@@ -447,14 +460,10 @@ def estimate_holder(
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    i, j = sample_pairs(mesh, pair_budget, seed)
-    if i.size == 0:
+    dist, diff = _pair_increments(field, mesh, pair_budget, seed)
+    if dist.size == 0:
         raise ValueError("need at least two distinct sample points")
-    xi, xj = mesh.nodes[i], mesh.nodes[j]
-    dist = np.sqrt(np.sum((xi - xj) ** 2, axis=1))
-    keep = dist > 0
-    fi, fj = field(xi[keep]), field(xj[keep])
-    return float(np.max(np.abs(fi - fj) / dist[keep] ** alpha, initial=0.0))
+    return float(np.max(diff / dist**alpha))
 
 
 def estimate_log_holder(
@@ -467,14 +476,10 @@ def estimate_log_holder(
 
     Maximizes |f(x)-f(y)| * |log|x-y|| over sampled pairs with |x-y| < 1/2.
     """
-    i, j = sample_pairs(mesh, pair_budget, seed)
-    xi, xj = mesh.nodes[i], mesh.nodes[j]
-    dist = np.sqrt(np.sum((xi - xj) ** 2, axis=1))
-    keep = (dist > 0.0) & (dist < 0.5)
-    if not np.any(keep):
+    dist, diff = _pair_increments(field, mesh, pair_budget, seed, below=0.5)
+    if dist.size == 0:
         raise ValueError("no sample pairs with |x-y| < 1/2; refine the mesh")
-    fi, fj = field(xi[keep]), field(xj[keep])
-    return float(np.max(np.abs(fi - fj) * np.abs(np.log(dist[keep]))))
+    return float(np.max(diff * np.abs(np.log(dist))))
 
 
 def check_A1_sufficient(
@@ -493,17 +498,16 @@ def check_A1_sufficient(
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    pts = sample_points(mesh, order)
-    p, q, _ = phase.at(pts)
-    report = ConditionReport("A1-sufficient")
+    pts, p, q, _ = _samples(phase, mesh, order)
     bound = 1.0 + alpha / phase.dim
-    report.checks.append(_extremum_check("q/p <= 1 + alpha/N", bound - q / p, pts, strict=False))
-    q_minus, _ = field_bounds(phase.q, mesh, order)
-    c_q = estimate_holder(phase.q, mesh, min(1.0, alpha / q_minus), pair_budget, seed)
+    c_q = estimate_holder(phase.q, mesh, min(1.0, alpha / q.min()), pair_budget, seed)
     c_mu = estimate_holder(phase.mu, mesh, alpha, pair_budget, seed)
-    report.checks.append(_finite_check("holder constant q (empirical)", c_q))
-    report.checks.append(_finite_check("holder constant mu (empirical)", c_mu))
-    return report
+    checks = [
+        _extremum_check("q/p <= 1 + alpha/N", bound - q / p, strict=False, point=pts),
+        _finite_check("holder constant q (empirical)", c_q),
+        _finite_check("holder constant mu (empirical)", c_mu),
+    ]
+    return ConditionReport("A1-sufficient", checks)
 
 
 def check_A1_characterization(
@@ -521,32 +525,25 @@ def check_A1_characterization(
     and returns ``(beta_max, report)`` where beta_max is the minimum — the
     largest constant beta compatible with the sampled inequality.  Pairs with
     mu(y) = 0 are skipped (the inequality is vacuous there); if the weight
-    vanishes identically beta_max is +inf.
+    vanishes identically beta_max is +inf.  A pair with mu(x) < 0 admits no
+    beta, so beta_max is -inf there, with that pair as the witness.
     """
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
     i, j = sample_pairs(mesh, pair_budget, seed)
     # both orientations: the inequality is not symmetric in (x, y)
-    xi = np.vstack([mesh.nodes[i], mesh.nodes[j]])
-    yj = np.vstack([mesh.nodes[j], mesh.nodes[i]])
-    dist = np.sqrt(np.sum((xi - yj) ** 2, axis=1))
-    px, qx, mux = phase.at(xi)
-    py, qy, muy = phase.at(yj)
+    x = np.vstack([mesh.nodes[i], mesh.nodes[j]])
+    y = np.vstack([mesh.nodes[j], mesh.nodes[i]])
+    dist = np.sqrt(np.sum((x - y) ** 2, axis=1))
+    _, qx, mux = phase.at(x)
+    py, qy, muy = phase.at(y)
     keep = (muy > 0.0) & (dist > 0.0)
-    report = ConditionReport("A1-characterization")
-    if not np.any(keep):
-        report.checks.append(ConditionCheck("feasible beta", True, np.inf))
-        return np.inf, report
-    N = phase.dim
-    lhs = dist[keep] ** (N * (1.0 / py[keep] - 1.0 / qy[keep])) + mux[keep] ** (
-        1.0 / qx[keep]
-    )
-    ratio = lhs / muy[keep] ** (1.0 / qy[keep])
-    k = int(np.argmin(ratio))
-    beta_max = float(ratio[k])
-    witness = None if beta_max > 0 else {
-        "x": [float(c) for c in xi[keep][k]],
-        "y": [float(c) for c in yj[keep][k]],
-    }
-    report.checks.append(ConditionCheck("feasible beta", beta_max > 0.0, beta_max, witness))
-    return beta_max, report
+    if np.any(keep):
+        dist, qx, mux, py, qy, muy = (a[keep] for a in (dist, qx, mux, py, qy, muy))
+        lhs = dist ** (phase.dim * (1.0 / py - 1.0 / qy)) + np.abs(mux) ** (1.0 / qx)
+        # mu(x) < 0 admits no beta; its root is taken of |mu(x)| to stay real
+        ratio = np.where(mux < 0.0, -np.inf, lhs / muy ** (1.0 / qy))
+        check = _extremum_check("feasible beta", ratio, x=x[keep], y=y[keep])
+    else:
+        check = _extremum_check("feasible beta", [np.inf])
+    return check.margin, ConditionReport("A1-characterization", [check])

@@ -164,8 +164,8 @@ def assemble_jacobian(
     b_e = sum_g w_g ((p-2) s^{p-2} + mu (q-2) s^{q-2}) / s^2.  The Gram block
     G G^T is the mesh's cached :attr:`Mesh.gram`.
     """
-    if eps_reg <= 0.0:
-        raise ValueError("eps_reg must be positive")
+    if not 0.0 < eps_reg < np.inf:
+        raise ValueError("eps_reg must be positive and finite")
     mesh = u.mesh
     p, q, mu, w = phase.at_quadrature(mesh, order)
     s = np.hypot(u.gradient_norms(), eps_reg)

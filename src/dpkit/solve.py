@@ -557,9 +557,10 @@ def check_growth(
     f = term(x, s, xi)
     nxi = np.sqrt(np.sum(xi**2, axis=1))
     report = ConditionReport("growth")
+    at = {"point": x, "s": s, "xi": xi}  # the witness of a failed growth bound
 
     crit = _critical_exponent(p, phase.dim)
-    report.checks.append(_extremum_check("r < p*", crit - rv, x))
+    report.checks.append(_extremum_check("r < p*", crit - rv, point=x))
 
     bound_i = (
         term.a1 * nxi ** (p * (rv - 1.0) / rv)
@@ -567,15 +568,13 @@ def check_growth(
         + term.alpha(x)
     )
     report.checks.append(
-        _extremum_check(
-            "growth bound on |f|", bound_i - np.abs(f), x, strict=False, s=s, xi=xi
-        )
+        _extremum_check("growth bound on |f|", bound_i - np.abs(f), strict=False, **at)
     )
 
     p_minus, _ = field_bounds(phase.p, mesh, order)
     bound_ii = term.b1 * nxi**p + term.b2 * np.abs(s) ** p_minus + term.omega(x)
     report.checks.append(
-        _extremum_check("sign bound on f*s", bound_ii - f * s, x, strict=False, s=s, xi=xi)
+        _extremum_check("sign bound on f*s", bound_ii - f * s, strict=False, **at)
     )
     return report
 
@@ -670,7 +669,7 @@ def _sample_uniqueness_structure(
 
     slack1 = term.c1 * (s - t) ** 2 - (term(x, s, xi1) - term(x, t, xi1)) * (s - t)
     report.checks.append(
-        _extremum_check("one-sided Lipschitz in s", slack1, x, strict=False, floor=-1e-12)
+        _extremum_check("one-sided Lipschitz in s", slack1, strict=False, floor=-1e-12, point=x)
     )
 
     rho = term.rho(x)
@@ -678,12 +677,12 @@ def _sample_uniqueness_structure(
     lin_rhs = a * (term(x, s, xi1) - rho) + b * (term(x, s, xi2) - rho)
     rel_dev = np.abs(lin_lhs - lin_rhs) / (1.0 + np.abs(lin_rhs))
     report.checks.append(
-        _extremum_check("linearity in xi", -rel_dev, x, strict=False, floor=-1e-10)
+        _extremum_check("linearity in xi", -rel_dev, strict=False, floor=-1e-10, point=x)
     )
 
     nxi = np.sqrt(np.sum(xi1**2, axis=1))
     slack3 = term.c2 * nxi - np.abs(term(x, s, xi1) - rho)
     report.checks.append(
-        _extremum_check("|f - rho| <= c2 |xi|", slack3, x, strict=False, floor=-1e-12)
+        _extremum_check("|f - rho| <= c2 |xi|", slack3, strict=False, floor=-1e-12, point=x)
     )
     return report

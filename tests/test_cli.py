@@ -347,6 +347,46 @@ def test_solve_rejects_inadmissible_phase_that_validate_reports(
     assert any(c["name"] == failing_check and not c["passed"] for c in checks)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_reports_no_feasible_beta_for_a_negative_weight(tmp_path):
+    cfgpath = write_config(
+        tmp_path, fields={"p": 2.0, "q": 3.0, "mu": {"kind": "expr", "expr": "x - 0.5"}, "dim": 3}
+    )
+    assert main(["validate", str(cfgpath), "--check", "all", "--no-timestamp"]) == 1
+    report = read_report(tmp_path)
+    assert report["beta_max"] == "-inf"
+    (check,) = report["reports"]["A1"]["checks"]
+    assert check["margin"] == "-inf" and check["witness"]["x"][0] < 0.5 < check["witness"]["y"][0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_reports_a_non_finite_phase(tmp_path, capsys):
+    cfgpath = write_config(
+        tmp_path, fields={"p": {"kind": "expr", "expr": "2 + 1/x"}, "q": 6.0, "mu": 1.0, "dim": 3}
+    )  # p = inf at x = 0
+    assert main(["validate", str(cfgpath), "--check", "all", "--no-timestamp"]) == 1
+    assert "  p bounded: margin inf" in capsys.readouterr().out
+    reports = read_report(tmp_path)["reports"]
+    assert {"name": "p bounded", "passed": False, "margin": "inf"} in reports["Hpp"]["checks"]
+    lipschitz = {"name": "lipschitz constant p (empirical)", "passed": False, "margin": "inf"}
+    assert lipschitz in reports["Hprime"]["checks"]
+
+
+def test_norm_of_a_builtin_solve_matches_its_solution_norm(tmp_path):
+    # the builtin's phase, not ``fields``, is the config's phase for every command
+    cfgpath = write_config(
+        tmp_path,
+        fields={"p": 3.5, "q": 4.0, "mu": 1.0},
+        problem={"kind": "builtin", "name": "dp-1d"},
+    )
+    assert main(["solve", str(cfgpath), "--no-timestamp"]) == 0
+    solution_norm = read_report(tmp_path)["solution_norm"]
+    solution = str(tmp_path / "out" / "solution.csv")
+    argv = ["norm", str(cfgpath), "--input", solution, "--which", "gradient", "--no-timestamp"]
+    assert main(argv) == 0
+    assert read_report(tmp_path)["norm"] == solution_norm
+
+
 def test_norm_rejects_negative_weight(tmp_path, capsys):
     cfgpath = write_config(tmp_path, fields={"p": 2.0, "q": 3.0, "mu": -0.5, "dim": 3})
     fn = tmp_path / "u.csv"

@@ -79,6 +79,12 @@ def test_builtin_problem_and_phase_fallback():
     assert rc.require_phase() is rc.case.phase
 
 
+def test_builtin_problem_replaces_fields():
+    rc = parse_config(cfg(problem={"kind": "builtin", "name": "dp-1d"}))
+    assert rc.require_phase() is rc.phase is rc.case.phase
+    assert rc.rhs is rc.case.rhs and rc.term is rc.case.term
+
+
 def test_builtin_dimension_mismatch():
     data = {"mesh": {"kind": "rect"}, "problem": {"kind": "builtin", "name": "poisson-1d"}}
     with pytest.raises(ConfigError, match="mesh"):

@@ -270,6 +270,18 @@ def test_mesh_edges_unique_and_sorted(square_mesh):
     assert np.unique(e, axis=0).shape == e.shape
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [build_interval_mesh(0.0, 1.0, 9), build_rect_mesh((0.0, 2.0), (0.0, 1.0), 5, 4)],
+    ids=["interval", "rect"],
+)
+def test_mesh_edges_are_built_once_and_read_only(mesh):
+    e = mesh.edges()
+    assert mesh.edges() is e
+    with pytest.raises(ValueError):
+        e[0, 0] = 0
+
+
 # ---------------------------------------------------------------------------
 # quadrature exactness
 

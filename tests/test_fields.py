@@ -26,8 +26,9 @@ from dpkit.fields import (
     sample_pairs,
     sample_points,
 )
-from dpkit.properties import _random_smooth_triples
+from dpkit.properties import _random_smooth_triples, standard_phase_configs
 
+import checks_reference
 import critical_exponent_reference
 import pairs_reference
 
@@ -319,6 +320,56 @@ def test_pair_consumers_match_row_unique_reference(monkeypatch):
     assert got == want
 
 
+def _all_check_reports(checks, mesh, phase):
+    """Every report ``dpkit validate`` writes, from the module ``checks``."""
+    beta_max, a1 = checks.check_A1_characterization(phase, mesh)
+    reports = {
+        "base": checks.check_condition_base(phase, mesh),
+        "H": checks.check_condition_H(phase, mesh),
+        "Hprime": checks.check_condition_Hprime(phase, mesh),
+        "Hprime-relaxed": checks.check_condition_Hprime(phase, mesh, relaxed=True),
+        "Hpp": checks.check_condition_Hpp(phase, mesh),
+        "A1-sufficient": checks.check_A1_sufficient(phase, mesh, alpha=1.0),
+        "A1": a1,
+    }
+    return {name: rep.to_dict() for name, rep in reports.items()}, beta_max
+
+
+FAILING_1D = {  # p < N, p < q and the (H') ratio fail
+    "mesh": {"kind": "interval", "n": 32},
+    "fields": {"p": 3.5, "q": 2.0, "mu": {"kind": "expr", "expr": "x"}, "dim": 3},
+}
+VALIDATE_2D = {  # the validate replay in CI
+    "mesh": {"kind": "rect", "nx": 32, "ny": 32},
+    "fields": {
+        "p": {"kind": "affine", "a": [0.2, 0.0], "b": 1.6},
+        "q": {"kind": "affine", "a": [0.0, 0.2], "b": 2.0},
+        "mu": {"kind": "expr", "expr": "0.2 + 0.8*x*y"},
+    },
+}
+
+
+def _check_reference_cases() -> dict:
+    cases = {}
+    for mesh in (build_interval_mesh(0.0, 1.0, 32), build_rect_mesh((0, 1), (0, 1), 8, 8)):
+        for name, phase in standard_phase_configs(mesh.dim):
+            cases[f"{mesh.dim}d-{name}"] = (mesh, phase)
+    for name, doc in (("failing-1d", FAILING_1D), ("validate-2d", VALIDATE_2D)):
+        cfg = parse_config(doc)
+        cases[name] = (cfg.mesh, cfg.require_phase())
+    return cases
+
+
+_CHECK_CASES = _check_reference_cases()
+
+
+@pytest.mark.parametrize("name", _CHECK_CASES)
+def test_checks_match_the_frozen_reference(name):
+    mesh, phase = _CHECK_CASES[name]
+    got = _all_check_reports(fields, mesh, phase)
+    assert got == _all_check_reports(checks_reference, mesh, phase)
+
+
 # ---------------------------------------------------------------------------
 # (A1)
 
@@ -351,3 +402,14 @@ def test_base_check_matches_constants(p, dq):
     rep = check_condition_base(phase, mesh)
     assert rep.check("p > 1").margin == pytest.approx(p - 1.0, rel=1e-12)
     assert rep.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_A1_characterization_negative_weight_admits_no_beta(interval_mesh):
+    mu = ScalarField.affine([1.0], -0.5)  # mu < 0 on half the interval
+    phase = DoublePhase(ScalarField.constant(2.0), ScalarField.constant(3.0), mu, dim=3)
+    beta_max, rep = check_A1_characterization(phase, interval_mesh)
+    assert beta_max == -np.inf
+    check = rep.check("feasible beta")
+    assert not check.passed and check.margin == -np.inf
+    assert mu(np.array(check.witness["x"])) < 0.0 < mu(np.array(check.witness["y"]))

@@ -156,6 +156,14 @@ def test_jacobian_matches_finite_difference_of_residual(interval_mesh, dp_phase)
 # differentiability and monotonicity
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps_reg", [0.0, -1.0, np.inf, np.nan])
+def test_jacobian_rejects_eps_reg_outside_positive_finite(interval_mesh, dp_phase, eps_reg):
+    u = sine_bump(interval_mesh)
+    with pytest.raises(ValueError, match="eps_reg"):
+        assemble_jacobian(u, dp_phase, eps_reg=eps_reg)
+
+
 def test_gradient_check_second_order(interval_mesh, dp_phase):
     from dpkit.properties import gradient_check_pair
 
