@@ -9,8 +9,9 @@ deterministic report.json; exit codes follow a fixed contract:
     2  usage or configuration error
     3  a numeric method failed to converge
 
-Heavy imports happen inside the command handlers so that ``--threads`` (or
-DPKIT_THREADS) can cap the BLAS worker pool before numpy is loaded.
+Importing ``dpkit`` or this module loads no numpy, and heavy imports happen
+inside the command handlers, so ``--threads`` (or DPKIT_THREADS) caps the
+BLAS worker pool before numpy is loaded.
 """
 
 from __future__ import annotations

@@ -10,14 +10,19 @@ Grammar (whitespace-insensitive)::
 
 Recognized names are the coordinate variables ``x``, ``y``, the solution value
 ``s``, the gradient components ``xi1``, ``xi2``, the constant ``pi``, and the
-functions ``sin``, ``cos``, ``exp``, ``abs``, ``log``.  Parsing produces a
+functions ``sin``, ``cos``, ``exp``, ``abs``, ``log``.  Python's own parser
+builds the tree, with ``^`` read as ``**``, which binds the same way, and a
+whitelist accepts only the nodes of this grammar.  Parsing produces a
 vectorized numpy closure; evaluation broadcasts constants to the requested
 sample count.
 """
 
 from __future__ import annotations
 
+import ast
+import operator as op
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,27 +39,18 @@ FUNCTIONS = {
 }
 _CONSTANTS = {"pi": np.pi}
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# a character outside the grammar, or Python's power operator
+_UNEXPECTED = re.compile(r"\*\*|[^A-Za-z_\d\s.+\-*/^()]")
+# a NAME or a NUMBER, so that a number is found whole and never inside a name
+_WORD = re.compile(rf"[A-Za-z_][A-Za-z_0-9]*|{_NUMBER.pattern}")
+_BINARY = {ast.Add: op.add, ast.Sub: op.sub, ast.Mult: op.mul, ast.Div: op.truediv, ast.Pow: op.pow}
 
 
-def _tokenize(text: str) -> list:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(
-                f"unexpected character {text[pos:].lstrip()[0]!r} at position {pos} in {text!r}"
-            )
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _respell(word: re.Match) -> str:
+    """A NAME as is; a NUMBER at its width in the ASCII digits Python reads ('007' -> '7  ')."""
+    text = "".join(str(int(c)) if c.isdecimal() else c for c in word[0])
+    return (text.lstrip("0") or "0").ljust(len(text)) if text.isdigit() else text
 
 
 @dataclass(frozen=True)
@@ -85,115 +81,60 @@ class Expression:
         return out
 
 
-class _Parser:
-    def __init__(self, text: str, allowed) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.allowed = allowed
-        self.seen: set = set()
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ValueError(f"expected {op!r} at position {pos} in {self.text!r}")
-        self.advance()
-
-    def fail(self, what: str):
-        kind, val, pos = self.peek()
-        shown = val if val else "end of input"
-        raise ValueError(f"expected {what}, found {shown!r} at position {pos} in {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            self.fail("end of expression")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            rhs = self.term()
-            node = (
-                (lambda a, b: lambda env: a(env) + b(env))
-                if op == "+"
-                else (lambda a, b: lambda env: a(env) - b(env))
-            )(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.unary()
-            node = (
-                (lambda a, b: lambda env: a(env) * b(env))
-                if op == "*"
-                else (lambda a, b: lambda env: a(env) / b(env))
-            )(node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            inner = self.unary()
-            return lambda env: -inner(env)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            expo = self.unary()
-            return lambda env: base(env) ** expo(env)
-        return base
-
-    def atom(self):
-        kind, val, pos = self.peek()
-        if kind == "num":
-            self.advance()
-            c = float(val)
-            return lambda env: c
-        if kind == "name":
-            self.advance()
-            if val in FUNCTIONS:
-                fn = FUNCTIONS[val]
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return lambda env: fn(arg(env))
-            if val in _CONSTANTS:
-                c = _CONSTANTS[val]
-                return lambda env: c
-            if val not in self.allowed:
-                raise ValueError(
-                    f"unknown name {val!r} at position {pos}; "
-                    f"allowed: {', '.join(sorted(self.allowed))}, "
-                    f"functions: {', '.join(sorted(FUNCTIONS))}"
-                )
-            self.seen.add(val)
-            return lambda env: env[val]
-        if kind == "op" and val == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        self.fail("a number, name, or parenthesized expression")
-
-
 def parse_expression(text: str, allowed=VARIABLES) -> Expression:
     """Compile ``text`` against the allowed variable names (ValueError on syntax)."""
     if not isinstance(text, str) or not text.strip():
         raise ValueError("expression must be a nonempty string")
-    parser = _Parser(text, frozenset(allowed))
-    fn = parser.parse()
-    return Expression(text, frozenset(parser.seen), fn)
+    if bad := _UNEXPECTED.search(text):
+        pos = bad.end() - 1
+        raise ValueError(f"unexpected character {text[pos]!r} at position {pos} in {text!r}")
+    # Python rejects a leading indent and a line break; the grammar skips both
+    spaced = _WORD.sub(_respell, re.sub(r"\s", " ", text))
+    lead = len(spaced) - len(spaced.lstrip())
+    source = spaced.strip().replace("^", "**")
+    # the position in ``text`` of each character of ``source``, then of its end
+    at = [i for i, c in enumerate(spaced) if i >= lead for _ in range(1 + (c == "^"))]
+    at.append(len(spaced))
+    allowed = frozenset(allowed).difference(FUNCTIONS)
+    seen: set = set()
+
+    def build(node):
+        segment = source[node.col_offset : node.end_col_offset]
+        match node:
+            case ast.BinOp(op=binary) if type(binary) in _BINARY:
+                fn, a, b = _BINARY[type(binary)], build(node.left), build(node.right)
+                return lambda env: fn(a(env), b(env))
+            case ast.UnaryOp(op=ast.USub()):
+                a = build(node.operand)
+                return lambda env: -a(env)
+            case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name in FUNCTIONS:
+                fn, a = FUNCTIONS[name], build(arg)
+                return lambda env: fn(a(env))
+            case ast.Name(id=name) if name in _CONSTANTS:
+                c = _CONSTANTS[name]
+                return lambda env: c
+            case ast.Name(id=name) if name in allowed:
+                seen.add(name)
+                return lambda env: env[name]
+            case ast.Constant() if _NUMBER.fullmatch(segment):
+                c = float(segment)
+                return lambda env: c
+        pos, end = at[node.col_offset], at[node.end_col_offset]
+        raise ValueError(
+            f"unexpected {text[pos:end]!r} at position {pos} in {text!r}; "
+            f"allowed: {', '.join(sorted(allowed))}, functions: {', '.join(sorted(FUNCTIONS))}"
+        )
+
+    try:
+        with warnings.catch_warnings():
+            # Python warns on text such as '1if'; the grammar rejects it
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(source, mode="eval")
+        fn = build(tree.body)
+    except SyntaxError as exc:
+        pos = at[min(exc.offset - 1, len(source))]
+        raise ValueError(f"invalid syntax at position {pos} in {text!r}") from None
+    except (RecursionError, MemoryError):
+        # Python's parser reports a tree nested too deeply for its stack as either
+        raise ValueError(f"expression nested too deeply: {text!r}") from None
+    return Expression(text, frozenset(seen), fn)

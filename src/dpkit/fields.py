@@ -398,7 +398,8 @@ def check_condition_Hprime(
     matching the density statement that only needs q+/p- <= 1 + 1/N.
     """
     _, p, q, _ = samples = _samples(phase, mesh, order)
-    gap = 1.0 + 1.0 / phase.dim - q.max() / p.min()
+    with np.errstate(divide="ignore", invalid="ignore"):  # p- = 0 fails with margin -inf
+        gap = 1.0 + 1.0 / phase.dim - q.max() / p.min()
     name = "q+/p- <= 1 + 1/N" if relaxed else "q+/p- < 1 + 1/N"
     checks = _base_checks(phase, mesh, order, *samples)
     checks.append(_extremum_check(name, [gap], strict=not relaxed))
@@ -493,17 +494,23 @@ def check_A1_sufficient(
     """Sufficient condition for (A1): ratio bound plus Hölder regularity.
 
     Checks q(x)/p(x) <= 1 + alpha/N at every sample and reports the empirical
-    alpha/q_- Hölder constant of q and alpha-Hölder constant of mu.
+    alpha/q_- Hölder constant of q and alpha-Hölder constant of mu.  With
+    q_- <= 0 that exponent is undefined, and the q constant fails as nan.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     pts, p, q, _ = _samples(phase, mesh, order)
     bound = 1.0 + alpha / phase.dim
-    c_q = estimate_holder(phase.q, mesh, min(1.0, alpha / q.min()), pair_budget, seed)
+    if q.min() <= 0.0:  # the Hölder exponent alpha/q_- is undefined
+        c_q = np.nan
+    else:
+        c_q = estimate_holder(phase.q, mesh, min(1.0, alpha / q.min()), pair_budget, seed)
     c_mu = estimate_holder(phase.mu, mesh, alpha, pair_budget, seed)
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 fails with margin -inf
+        ratio = q / p
     checks = [
-        _extremum_check("q/p <= 1 + alpha/N", bound - q / p, strict=False, point=pts),
+        _extremum_check("q/p <= 1 + alpha/N", bound - ratio, strict=False, point=pts),
         _finite_check("holder constant q (empirical)", c_q),
         _finite_check("holder constant mu (empirical)", c_mu),
     ]
@@ -540,9 +547,10 @@ def check_A1_characterization(
     keep = (muy > 0.0) & (dist > 0.0)
     if np.any(keep):
         dist, qx, mux, py, qy, muy = (a[keep] for a in (dist, qx, mux, py, qy, muy))
-        lhs = dist ** (phase.dim * (1.0 / py - 1.0 / qy)) + np.abs(mux) ** (1.0 / qx)
-        # mu(x) < 0 admits no beta; its root is taken of |mu(x)| to stay real
-        ratio = np.where(mux < 0.0, -np.inf, lhs / muy ** (1.0 / qy))
+        with np.errstate(divide="ignore", invalid="ignore"):  # from p or q = 0
+            lhs = dist ** (phase.dim * (1.0 / py - 1.0 / qy)) + np.abs(mux) ** (1.0 / qx)
+            # mu(x) < 0 admits no beta; its root is taken of |mu(x)| to stay real
+            ratio = np.where(mux < 0.0, -np.inf, lhs / muy ** (1.0 / qy))
         check = _extremum_check("feasible beta", ratio, x=x[keep], y=y[keep])
     else:
         check = _extremum_check("feasible beta", [np.inf])

@@ -1,5 +1,6 @@
 """The command-line interface: exit codes, artifacts, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -372,6 +373,26 @@ def test_validate_reports_a_non_finite_phase(tmp_path, capsys):
     assert lipschitz in reports["Hprime"]["checks"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "p, q, failing, margin",
+    [
+        (2.0, -1.0, "holder constant q (empirical)", "nan"),
+        (2.0, 0.0, "holder constant q (empirical)", "nan"),
+        (0.0, 3.0, "q/p <= 1 + alpha/N", "-inf"),
+    ],
+    ids=["q-negative", "q-zero", "p-zero"],
+)
+def test_validate_reports_a_non_positive_exponent(tmp_path, capsys, p, q, failing, margin):
+    cfgpath = write_config(tmp_path, fields={"p": p, "q": q, "mu": 1.0, "dim": 3})
+    assert main(["validate", str(cfgpath), "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == ""
+    report = read_report(tmp_path)["reports"]["A1-sufficient"]
+    assert not report["passed"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert not checks[failing]["passed"] and checks[failing]["margin"] == margin
+
+
 def test_norm_of_a_builtin_solve_matches_its_solution_norm(tmp_path):
     # the builtin's phase, not ``fields``, is the config's phase for every command
     cfgpath = write_config(
@@ -441,10 +462,11 @@ def test_solve_trial_residual_overflow_is_a_quiet_numeric_failure(tmp_path, caps
 
 
 def test_importing_the_cli_loads_no_quadrature_or_root_finder():
-    # scipy.integrate and scipy.optimize serve only sobolev_conjugate_inverse
+    # scipy.integrate and scipy.optimize serve only sobolev_conjugate_inverse;
+    # numpy must wait until --threads has capped the BLAS worker pool
     code = (
         "import sys, dpkit, dpkit.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+        "print([m for m in ('numpy', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])"
     )
     src = str(Path(dpkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -452,6 +474,53 @@ def test_importing_the_cli_loads_no_quadrature_or_root_finder():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# every name the package exports, by the module that defines it
+_EXPORTS = {
+    "eigen": (
+        "EigenResult", "coercivity_margin", "first_eigenvalue", "mass_matrix",
+        "rayleigh_quotient", "stiffness_matrix", "uniqueness_margin",
+    ),
+    "errors": ("ConfigError", "DpkitError", "NumericError", "PreconditionError"),
+    "fem": (
+        "DiscreteFunction", "Mesh", "Quadrature", "build_interval_mesh", "build_rect_mesh",
+        "integrate", "interpolate",
+    ),
+    "fields": (
+        "ConditionCheck", "ConditionReport", "DoublePhase", "ScalarField",
+        "check_A1_characterization", "check_A1_sufficient", "check_condition_H",
+        "check_condition_Hpp", "check_condition_Hprime", "check_condition_base",
+        "constant_phase", "critical_exponent", "critical_exponent_field", "estimate_holder",
+        "estimate_log_holder", "field_bounds",
+    ),
+    "modular": (
+        "LuxemburgResult", "ModularReport", "NormModularReport", "check_norm_modular",
+        "luxemburg_norm", "luxemburg_report", "modular_sobolev", "poincare_ratio",
+        "reverse_holder_check", "sobolev_conjugate_inverse", "truncate",
+        "uniform_convexity_probe", "weighted_seminorm",
+    ),
+    "operator": (
+        "DualBoundResult", "SimonResult", "apply_operator", "assemble_jacobian",
+        "assemble_load", "assemble_residual", "boundedness_estimate", "energy",
+        "gradient_check", "monotonicity_probe", "simon_inequality",
+    ),
+    "problems": ("ManufacturedCase", "case_names", "growth_example_term", "manufactured_case"),
+    "solve": (
+        "ConvectionTerm", "SolveReport", "SolverOptions", "UniquenessReport", "check_growth",
+        "solve_convection", "solve_monotone", "verify_uniqueness", "weak_residual",
+    ),
+}  # fmt: skip
+
+
+def test_package_exports_each_name_from_its_module():
+    assert sorted(dpkit.__all__) == sorted(n for names in _EXPORTS.values() for n in names)
+    for module, names in _EXPORTS.items():
+        home = importlib.import_module(f"dpkit.{module}")
+        for name in names:
+            assert getattr(dpkit, name) is getattr(home, name)
+    # the submodule, never the function of the same name
+    assert dpkit.modular is importlib.import_module("dpkit.modular")
 
 
 def test_solve_output_dir_override(tmp_path):

@@ -1,5 +1,8 @@
 """The arithmetic expression grammar used by run configurations."""
 
+import random
+
+import expressions_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,3 +92,71 @@ def test_matches_reference_evaluation(a, b, c):
     got = e(x=b, a0=a, c0=c)
     want = a * np.sin(b) + np.exp(-(b**2)) / c
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the parser against the hand-written parser it replaced
+
+# the grammar's tokens, whitespace, and Python-only syntax the grammar rejects
+_TOKENS = (
+    "x", "y", "s", "xi1", "xi2", "z", "pi", "sin", "cos", "exp", "abs", "log", "tan",
+    "0", "1", "2", "007", "00", "0.5", ".5", "1.", "1e3", "2.5e-1", "1E+2", "\u0663",
+    "+", "-", "*", "/", "^", "(", ")", ".", "e", "_", "x1",
+    " ", "\t", "\n", "**", "//", "1_0", "0x1", "1j", "True", "None", "lambda", "if", "else",
+    "not", "or", ":", ",", "[", "]", "@", "%", "=",
+)  # fmt: skip
+_SPACES = ("", "", " ", "  ", "\t", "\n", "\u00a0")
+_SAMPLES = np.array([0.0, -1.5, 2.0, -0.0, 3.7])
+
+
+def _same_as_reference(text, values=_SAMPLES):
+    """Both parsers accept or both reject; accepted, both agree bit for bit."""
+    outcomes = []
+    for parse in (expressions_reference.parse_expression, parse_expression):
+        try:
+            outcomes.append(parse(text, VARIABLES))
+        except ValueError:
+            outcomes.append(None)
+    want, got = outcomes
+    assert (got is None) == (want is None), text
+    if got is None:
+        return
+    assert got.variables == want.variables, text
+    env = {name: np.roll(values, k) for k, name in enumerate(VARIABLES)}
+    results = []
+    for expr in (want, got):
+        try:
+            results.append(expr(**env).tobytes())
+        except (ArithmeticError, TypeError) as exc:  # Python floats: '1/0', '(0-2)^.5'
+            results.append(type(exc))
+    assert results[1] == results[0], text
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(_TOKENS), st.sampled_from(_SPACES)), max_size=14),
+    st.sampled_from(_SPACES),
+    st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+)
+@settings(max_examples=2000, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_parser_matches_the_reference(tokens, lead, values):
+    text = lead + "".join(token + space for token, space in tokens)
+    _same_as_reference(text, np.concatenate([[0.0, -1.0], values]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_parser_matches_the_reference_on_a_seeded_sweep():
+    rng = random.Random(0)
+    for _ in range(100_000):
+        picks = rng.choices(_TOKENS, k=rng.randint(1, 14))
+        _same_as_reference("".join(token + rng.choice(_SPACES) for token in picks))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 300 + "x" + ")" * 300, "-" * 1000 + "x", "^".join(["x"] * 1000)],
+    ids=["parentheses", "minus", "power"],
+)
+def test_deep_nesting_is_a_value_error(text):
+    with pytest.raises(ValueError):
+        parse_expression(text, ("x",))
