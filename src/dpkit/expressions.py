@@ -12,15 +12,15 @@ Recognized names are the coordinate variables ``x``, ``y``, the solution value
 ``s``, the gradient components ``xi1``, ``xi2``, the constant ``pi``, and the
 functions ``sin``, ``cos``, ``exp``, ``abs``, ``log``.  Python's own parser
 builds the tree, with ``^`` read as ``**``, which binds the same way, and a
-whitelist accepts only the nodes of this grammar.  Parsing produces a
-vectorized numpy closure; evaluation broadcasts constants to the requested
-sample count.
+whitelist accepts only the nodes of this grammar.  The tree is compiled once,
+with every number and ``pi`` a numpy float64, so constant arithmetic follows
+IEEE rules as it does on arrays (``1/0`` is inf, ``(0-2)^0.5`` nan).
+Evaluation broadcasts a constant result to the requested sample count.
 """
 
 from __future__ import annotations
 
 import ast
-import operator as op
 import re
 import warnings
 from dataclasses import dataclass
@@ -44,7 +44,6 @@ _NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _UNEXPECTED = re.compile(r"\*\*|[^A-Za-z_\d\s.+\-*/^()]")
 # a NAME or a NUMBER, so that a number is found whole and never inside a name
 _WORD = re.compile(rf"[A-Za-z_][A-Za-z_0-9]*|{_NUMBER.pattern}")
-_BINARY = {ast.Add: op.add, ast.Sub: op.sub, ast.Mult: op.mul, ast.Div: op.truediv, ast.Pow: op.pow}
 
 
 def _respell(word: re.Match) -> str:
@@ -96,29 +95,27 @@ def parse_expression(text: str, allowed=VARIABLES) -> Expression:
     at = [i for i, c in enumerate(spaced) if i >= lead for _ in range(1 + (c == "^"))]
     at.append(len(spaced))
     allowed = frozenset(allowed).difference(FUNCTIONS)
-    seen: set = set()
+    # pi and each NUMBER are float64 names (a NUMBER under its own spelling, which no
+    # NAME can spell): the compiler would fold Python float constants in Python arithmetic
+    names = dict(FUNCTIONS, pi=np.float64(_CONSTANTS["pi"]))
 
-    def build(node):
+    def check(node):
         segment = source[node.col_offset : node.end_col_offset]
         match node:
-            case ast.BinOp(op=binary) if type(binary) in _BINARY:
-                fn, a, b = _BINARY[type(binary)], build(node.left), build(node.right)
-                return lambda env: fn(a(env), b(env))
+            case ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() | ast.Pow()):
+                node.left, node.right = check(node.left), check(node.right)
+                return node
             case ast.UnaryOp(op=ast.USub()):
-                a = build(node.operand)
-                return lambda env: -a(env)
+                node.operand = check(node.operand)
+                return node
             case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name in FUNCTIONS:
-                fn, a = FUNCTIONS[name], build(arg)
-                return lambda env: fn(a(env))
-            case ast.Name(id=name) if name in _CONSTANTS:
-                c = _CONSTANTS[name]
-                return lambda env: c
-            case ast.Name(id=name) if name in allowed:
-                seen.add(name)
-                return lambda env: env[name]
+                node.args = [check(arg)]
+                return node
+            case ast.Name(id=name) if name in _CONSTANTS or name in allowed:
+                return node
             case ast.Constant() if _NUMBER.fullmatch(segment):
-                c = float(segment)
-                return lambda env: c
+                names[segment] = np.float64(float(segment))
+                return ast.copy_location(ast.Name(segment, ast.Load()), node)
         pos, end = at[node.col_offset], at[node.end_col_offset]
         raise ValueError(
             f"unexpected {text[pos:end]!r} at position {pos} in {text!r}; "
@@ -130,11 +127,13 @@ def parse_expression(text: str, allowed=VARIABLES) -> Expression:
             # Python warns on text such as '1if'; the grammar rejects it
             warnings.simplefilter("error", SyntaxWarning)
             tree = ast.parse(source, mode="eval")
-        fn = build(tree.body)
+        tree.body = check(tree.body)
+        code = compile(tree, "<expression>", "eval")
     except SyntaxError as exc:
         pos = at[min(exc.offset - 1, len(source))]
         raise ValueError(f"invalid syntax at position {pos} in {text!r}") from None
     except (RecursionError, MemoryError):
         # Python's parser reports a tree nested too deeply for its stack as either
         raise ValueError(f"expression nested too deeply: {text!r}") from None
-    return Expression(text, frozenset(seen), fn)
+    variables = frozenset(code.co_names).difference(names)
+    return Expression(text, variables, lambda env: eval(code, {**env, "__builtins__": {}, **names}))

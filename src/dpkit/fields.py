@@ -443,7 +443,8 @@ def _pair_increments(field: ScalarField, mesh: Mesh, pair_budget, seed, below=np
     xi, xj = mesh.nodes[i], mesh.nodes[j]
     dist = np.sqrt(np.sum((xi - xj) ** 2, axis=1))
     keep = (dist > 0.0) & (dist < below)
-    return dist[keep], np.abs(field(xi[keep]) - field(xj[keep]))
+    with np.errstate(invalid="ignore"):  # inf - inf: the nan fails its check as non-finite
+        return dist[keep], np.abs(field(xi[keep]) - field(xj[keep]))
 
 
 def estimate_holder(

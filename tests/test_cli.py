@@ -310,6 +310,25 @@ def test_solve_non_finite_phase_exits_two(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", ["1 + x/0", "1 + 1/0", "1 + 10^400", "1 + (0-2)^0.5"])
+def test_non_finite_weight_is_rejected_by_solve_and_reported_by_validate(tmp_path, capsys, mu):
+    cfgpath = write_config(
+        tmp_path,
+        mesh={"kind": "interval", "n": 8},
+        fields={"p": 2.0, "q": 3.0, "mu": {"kind": "expr", "expr": mu}},
+        problem={"kind": "rhs", "expr": "1"},
+    )
+    assert main(["solve", str(cfgpath), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: field mu takes non-finite values on the mesh" in err
+    assert "Traceback" not in err
+    assert main(["validate", str(cfgpath), "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == ""
+    holder = {"name": "holder constant mu (empirical)", "passed": False, "margin": "nan"}
+    assert holder in read_report(tmp_path)["reports"]["A1-sufficient"]["checks"]
+
+
 MU_NEGATIVE = "the weight mu must be nonnegative"
 EXPONENT_AT_MOST_ONE = "exponent fields must satisfy p, q > 1 on the mesh"
 RECT_8 = {"kind": "rect", "nx": 8, "ny": 8}
