@@ -129,11 +129,12 @@ def parse_expression(text: str, allowed=VARIABLES) -> Expression:
             tree = ast.parse(source, mode="eval")
         tree.body = check(tree.body)
         code = compile(tree, "<expression>", "eval")
-    except SyntaxError as exc:
-        pos = at[min(exc.offset - 1, len(source))]
-        raise ValueError(f"invalid syntax at position {pos} in {text!r}") from None
-    except (RecursionError, MemoryError):
-        # Python's parser reports a tree nested too deeply for its stack as either
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # Python's parser reports a tree nested too deeply for its stack as a
+        # RecursionError or MemoryError, and 200 nested parentheses as a SyntaxError
+        if isinstance(exc, SyntaxError) and exc.msg != "too many nested parentheses":
+            pos = at[min(exc.offset - 1, len(source))]
+            raise ValueError(f"invalid syntax at position {pos} in {text!r}") from None
         raise ValueError(f"expression nested too deeply: {text!r}") from None
     variables = frozenset(code.co_names).difference(names)
     return Expression(text, variables, lambda env: eval(code, {**env, "__builtins__": {}, **names}))

@@ -526,15 +526,16 @@ def check_A1_characterization(
 ):
     """Empirical feasibility constant for the (A1) characterization.
 
-    For sampled ordered pairs (x, y) with mu(y) > 0 evaluates
+    For sampled ordered pairs (x, y) with mu(y) > 0 or nan evaluates
 
         (|x-y|^(N (1/p(y) - 1/q(y))) + mu(x)^(1/q(x))) / mu(y)^(1/q(y))
 
     and returns ``(beta_max, report)`` where beta_max is the minimum — the
     largest constant beta compatible with the sampled inequality.  Pairs with
-    mu(y) = 0 are skipped (the inequality is vacuous there); if the weight
+    mu(y) <= 0 are skipped (the inequality is vacuous there); if the weight
     vanishes identically beta_max is +inf.  A pair with mu(x) < 0 admits no
-    beta, so beta_max is -inf there, with that pair as the witness.
+    beta, so beta_max is -inf there, with that pair as the witness.  A pair
+    with a nan mu(y) has ratio nan, so a nan weight fails with margin nan.
     """
     if pair_budget < 1:
         raise ValueError("pair_budget must be >= 1")
@@ -545,7 +546,7 @@ def check_A1_characterization(
     dist = np.sqrt(np.sum((x - y) ** 2, axis=1))
     _, qx, mux = phase.at(x)
     py, qy, muy = phase.at(y)
-    keep = (muy > 0.0) & (dist > 0.0)
+    keep = ~(muy <= 0.0) & (dist > 0.0)
     if np.any(keep):
         dist, qx, mux, py, qy, muy = (a[keep] for a in (dist, qx, mux, py, qy, muy))
         with np.errstate(divide="ignore", invalid="ignore"):  # from p or q = 0

@@ -162,7 +162,7 @@ def test_parser_matches_the_reference_on_a_seeded_sweep():
     ids=["parentheses", "minus", "power"],
 )
 def test_deep_nesting_is_a_value_error(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nested too deeply"):
         parse_expression(text, ("x",))
 
 

@@ -31,6 +31,7 @@ from dpkit.properties import _random_smooth_triples, standard_phase_configs
 import checks_reference
 import critical_exponent_reference
 import pairs_reference
+import replay
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +340,6 @@ FAILING_1D = {  # p < N, p < q and the (H') ratio fail
     "mesh": {"kind": "interval", "n": 32},
     "fields": {"p": 3.5, "q": 2.0, "mu": {"kind": "expr", "expr": "x"}, "dim": 3},
 }
-VALIDATE_2D = {  # the validate replay in CI
-    "mesh": {"kind": "rect", "nx": 32, "ny": 32},
-    "fields": {
-        "p": {"kind": "affine", "a": [0.2, 0.0], "b": 1.6},
-        "q": {"kind": "affine", "a": [0.0, 0.2], "b": 2.0},
-        "mu": {"kind": "expr", "expr": "0.2 + 0.8*x*y"},
-    },
-}
 
 
 def _check_reference_cases() -> dict:
@@ -354,7 +347,7 @@ def _check_reference_cases() -> dict:
     for mesh in (build_interval_mesh(0.0, 1.0, 32), build_rect_mesh((0, 1), (0, 1), 8, 8)):
         for name, phase in standard_phase_configs(mesh.dim):
             cases[f"{mesh.dim}d-{name}"] = (mesh, phase)
-    for name, doc in (("failing-1d", FAILING_1D), ("validate-2d", VALIDATE_2D)):
+    for name, doc in (("failing-1d", FAILING_1D), ("validate-2d", replay.config("validate"))):
         cfg = parse_config(doc)
         cases[name] = (cfg.mesh, cfg.require_phase())
     return cases
@@ -413,3 +406,12 @@ def test_A1_characterization_negative_weight_admits_no_beta(interval_mesh):
     check = rep.check("feasible beta")
     assert not check.passed and check.margin == -np.inf
     assert mu(np.array(check.witness["x"])) < 0.0 < mu(np.array(check.witness["y"]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_A1_characterization_nan_weight_admits_no_beta(interval_mesh):
+    mu = ScalarField.from_callable(lambda pts: np.full(len(pts), np.nan))
+    phase = DoublePhase(ScalarField.constant(2.0), ScalarField.constant(3.0), mu, dim=3)
+    beta_max, rep = check_A1_characterization(phase, interval_mesh)
+    check = rep.check("feasible beta")
+    assert np.isnan(beta_max) and np.isnan(check.margin) and not check.passed

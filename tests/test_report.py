@@ -9,6 +9,7 @@ from dpkit import report
 from dpkit.cli import main
 from dpkit.report import dumps_report, format_float, write_report
 
+import replay
 import report_reference
 
 
@@ -98,49 +99,7 @@ def test_five_control_characters_take_short_escapes():
     assert json.loads(old)["s"] == data["s"]
 
 
-# the CLI runs that CI replays byte for byte, with the same configs
-_VARIABLE = {
-    "p": {"kind": "affine", "a": [0.4, 0.0], "b": 1.8},
-    "q": {"kind": "affine", "a": [0.0, 0.4], "b": 2.6},
-    "mu": {"kind": "expr", "expr": "0.2 + 0.8*x*y"},
-}
-_CONVECTION = {
-    "mesh": {"kind": "rect", "nx": 16, "ny": 16},
-    "fields": {
-        "p": 2.0,
-        "q": {"kind": "affine", "a": [0.4, 0.0], "b": 2.6},
-        "mu": {"kind": "expr", "expr": "0.2 + 0.8*x*y"},
-    },
-    "problem": {
-        "kind": "term", "expr": "1 + 0.5*sin(pi*x)*sin(pi*y) + 0.2*xi1", "r": 2.0,
-        "a1": 0.2, "a2": 0.0, "alpha": 1.5, "b1": 0.1, "b2": 0.35, "omega": 2.25,
-    },
-}
-_RHS = {"kind": "rhs", "expr": "1 + sin(pi*x)*sin(2*pi*y)"}
-_CI_REPLAYS = [
-    ("solve", {"mesh": {"kind": "rect", "nx": 16, "ny": 16},
-               "problem": {"kind": "builtin", "name": "poisson-2d"}}, []),
-    ("verify", {"mesh": {"kind": "interval", "n": 64},
-                "problem": {"kind": "builtin", "name": "dp-1d"}}, ["--seed", "1"]),
-    ("solve", _CONVECTION, []),
-    ("norm", _CONVECTION, ["--input", "{out}/2/solution.csv", "--which", "sobolev"]),
-    ("solve", {"mesh": {"kind": "rect", "nx": 32, "ny": 32}, "fields": _VARIABLE,
-               "problem": _RHS}, []),
-    ("solve", {"mesh": {"kind": "rect", "nx": 64, "ny": 64}, "fields": _VARIABLE,
-               "problem": _RHS}, []),
-    ("solve", {"mesh": {"kind": "rect", "nx": 16, "ny": 16},
-               "fields": {"p": 4.0, "q": 6.0, "mu": 1.0},
-               "problem": {"kind": "rhs", "expr": "1"}}, []),
-    ("convergence", {"mesh": {"kind": "rect", "nx": 16, "ny": 16}},
-     ["--case", "poisson-2d", "--meshes", "16,32,64,128"]),
-    ("validate", {"mesh": {"kind": "rect", "nx": 32, "ny": 32},
-                  "fields": {"p": {"kind": "affine", "a": [0.2, 0.0], "b": 1.6},
-                             "q": {"kind": "affine", "a": [0.0, 0.2], "b": 2.0},
-                             "mu": {"kind": "expr", "expr": "0.2 + 0.8*x*y"}}}, []),
-    ("eigen", {"mesh": {"kind": "rect", "nx": 16, "ny": 16}}, ["--r", "3"]),
-]
-
-
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ci_replayed_reports_match_the_old_writer(tmp_path, monkeypatch):
     written = []
     dumps = report.dumps_report
@@ -150,11 +109,12 @@ def test_ci_replayed_reports_match_the_old_writer(tmp_path, monkeypatch):
         return dumps(data, timestamp)
 
     monkeypatch.setattr(report, "dumps_report", recording)
-    for k, (command, config, args) in enumerate(_CI_REPLAYS):
-        path = tmp_path / f"{k}.json"
-        path.write_text(json.dumps(dict(config, output_dir=str(k))))
-        args = [a.format(out=tmp_path) for a in args]
-        assert main([command, str(path), *args, "--no-timestamp"]) == 0
-    assert [data["command"] for data in written] == [run[0] for run in _CI_REPLAYS]
+    for run in replay.RUNS:
+        n = len(written)
+        assert main(replay.prepare(run, tmp_path)) == run["exit"], run["name"]
+        # a run that ends in a verdict writes exactly its own report
+        reports = run["exit"] in (0, 1) and "--list" not in run.get("args", [])
+        assert [data["command"] for data in written[n:]] == [run["command"]] * reports, run["name"]
+        assert (tmp_path / run["name"] / "report.json").exists() == reports, run["name"]
     for data in written:
         assert dumps(data, timestamp=False) == report_reference.dumps_report(data)

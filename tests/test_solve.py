@@ -30,6 +30,7 @@ from dpkit.solve import (
     weak_residual,
 )
 
+import replay
 from conftest import random_nodal
 
 
@@ -450,25 +451,7 @@ def test_convection_linear_reproduces_exact_solution():
 
 
 # the 16x16 convection config that CI replays; its Newton factors are kept
-CONVECTION_2D = {
-    "mesh": {"kind": "rect", "nx": 16, "ny": 16},
-    "fields": {
-        "p": 2.0,
-        "q": {"kind": "affine", "a": [0.4, 0.0], "b": 2.6},
-        "mu": {"kind": "expr", "expr": "0.2 + 0.8*x*y"},
-    },
-    "problem": {
-        "kind": "term",
-        "expr": "1 + 0.5*sin(pi*x)*sin(pi*y) + 0.2*xi1",
-        "r": 2.0,
-        "a1": 0.2,
-        "a2": 0.0,
-        "alpha": 1.5,
-        "b1": 0.1,
-        "b2": 0.35,
-        "omega": 2.25,
-    },
-}
+CONVECTION_2D = replay.config("convection")
 
 
 def test_convection_carries_the_factor_across_picard_steps():
