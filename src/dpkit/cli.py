@@ -195,7 +195,7 @@ def cmd_norm(args) -> int:
     phase = cfg.require_phase()
     values = load_solution(args.input, cfg.mesh)
     u = DiscreteFunction(cfg.mesh, values)
-    res = luxemburg_report(u, phase, args.which, cfg.tolerances.norm_tol, cfg.order)
+    res = luxemburg_report(u, phase, args.which, cfg.options.norm_tol, cfg.order)
     parts = modular(u, phase, args.which, cfg.order)
     data = {
         "command": "norm",
@@ -219,7 +219,7 @@ def cmd_eigen(args) -> int:
     from .io import save_solution
 
     cfg = _load(args)
-    res = first_eigenvalue(cfg.mesh, args.r, cfg.tolerances.eigen_tol, cfg.order)
+    res = first_eigenvalue(cfg.mesh, args.r, cfg.eigen_tol, cfg.order)
     data = {
         "command": "eigen",
         "r": res.r,

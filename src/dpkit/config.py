@@ -11,20 +11,24 @@ Example::
         "dim": 3
       },
       "problem": {"kind": "builtin", "name": "dp-1d"},
-      "tolerances": {"newton_tol": 1e-10},
+      "tolerances": {"newton_tol": 1e-9},
       "quadrature_order": 4,
       "eps_reg": 1e-8,
       "seed": 0,
       "output_dir": "out"
     }
 
-Field specs accept kinds ``constant``, ``affine``, ``table`` (a CSV of
-node_index,value rows on the config mesh) and ``expr`` (an expression in the
-coordinates).  Problems are either a built-in case name, a plain right-hand
-side ``{"kind": "rhs", "expr": ...}``, or a convection term with declared
-growth constants.  A built-in case brings its own phase, which replaces
-``fields`` for every command.  All structural errors raise ConfigError,
-which the CLI maps to exit code 2.
+Field specs accept a number or the kinds ``constant``, ``affine``, ``table``
+(a solution CSV on the config mesh, read by ``io.load_solution``) and
+``expr`` (an expression in the coordinates).  Problems are either a built-in
+case name, a plain right-hand side ``{"kind": "rhs", "expr": ...}`` (built as
+an ``expr`` field), or a convection term with declared growth constants.  A
+built-in case brings its own phase, which replaces ``fields`` for every
+command.  ``quadrature_order``, ``eps_reg`` and every tolerance but
+``eigen_tol`` make one ``SolverOptions``.  Every number is an int or float, not
+a bool, and finite as a float (:func:`_finite`); every path is a string,
+relative to the config file (:func:`_path`).  All structural errors raise
+ConfigError, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .eigen import DEFAULT_EIGEN_TOL
 from .errors import ConfigError
 from .expressions import parse_expression
 from .fem import (
@@ -46,28 +51,12 @@ from .fem import (
     build_rect_mesh,
 )
 from .fields import DoublePhase, ScalarField
-from .io import _check_node_index, load_mesh, load_node_table
-from .modular import DEFAULT_NORM_TOL
+from .io import load_mesh, load_solution
 from .operator import DEFAULT_EPS_REG
 from .problems import ManufacturedCase, manufactured_case
 from .solve import ConvectionTerm, SolverOptions
 
-__all__ = ["Tolerances", "RunConfig", "load_config", "parse_config"]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    norm_tol: float = DEFAULT_NORM_TOL
-    newton_tol: float = 1e-10
-    outer_tol: float = 1e-10
-    eigen_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("norm_tol", "newton_tol", "outer_tol", "eigen_tol"):
-            v = getattr(self, name)
-            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if not (ok and np.isfinite(v) and v > 0.0):
-                raise ConfigError(f"tolerance {name} must be a positive number, got {v!r}")
+__all__ = ["RunConfig", "load_config", "parse_config"]
 
 
 @dataclass
@@ -79,20 +68,17 @@ class RunConfig:
     case: ManufacturedCase | None
     rhs: object | None
     term: ConvectionTerm | None
-    tolerances: Tolerances
-    order: int
-    eps_reg: float
+    options: SolverOptions
+    eigen_tol: float
     seed: int
     output_dir: Path
 
+    @property
+    def order(self) -> int:
+        return self.options.order
+
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            newton_tol=self.tolerances.newton_tol,
-            outer_tol=self.tolerances.outer_tol,
-            norm_tol=self.tolerances.norm_tol,
-            eps_reg=self.eps_reg,
-            order=self.order,
-        )
+        return self.options
 
     def require_phase(self) -> DoublePhase:
         if self.phase is None:
@@ -131,9 +117,17 @@ def _number(data: dict, key: str, where: str, default=None, positive=False) -> f
 
 def _integer(data: dict, key: str, where: str, default: int, minimum: int) -> int:
     v = data.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+    if not isinstance(v, int) or isinstance(v, bool) or _finite(v, f"{where}.{key}") < minimum:
         raise ConfigError(f"{where}.{key} must be an integer >= {minimum}, got {v!r}")
     return v
+
+
+def _path(data: dict, key: str, where: str, base_dir: Path, default=None) -> Path:
+    """``data[key]`` as a path: a string, relative to ``base_dir`` unless absolute."""
+    v = _require(data, key, where) if default is None else data.get(key, default)
+    if not isinstance(v, str):
+        raise ConfigError(f"{where}.{key} must be a path string, got {v!r}")
+    return base_dir / v
 
 
 def _coords(points: np.ndarray) -> dict:
@@ -165,7 +159,7 @@ def _build_mesh(spec, base_dir: Path) -> Mesh:
         nx, ny = _integer(spec, "nx", "mesh", 16, 1), _integer(spec, "ny", "mesh", 16, 1)
         return build_rect_mesh(spans[0], spans[1], nx, ny)
     if kind == "files":
-        path = base_dir / _require(spec, "path", "mesh")
+        path = _path(spec, "path", "mesh", base_dir)
         try:
             return load_mesh(path)
         except (OSError, ValueError) as exc:
@@ -175,7 +169,7 @@ def _build_mesh(spec, base_dir: Path) -> Mesh:
 
 def _build_field(spec, mesh: Mesh, base_dir: Path, where: str) -> ScalarField:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return ScalarField.constant(spec)
+        return ScalarField.constant(_finite(spec, where))
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a number or a field spec object")
     kind = _require(spec, "kind", where)
@@ -192,16 +186,11 @@ def _build_field(spec, mesh: Mesh, base_dir: Path, where: str) -> ScalarField:
             slope = [_finite(v, f"{where}.a[{i}]") for i, v in enumerate(slope)]
             return ScalarField.affine(slope, offset)
         if kind == "table":
-            path = base_dir / _require(spec, "path", where)
+            path = _path(spec, "path", where, base_dir)
             try:
-                idx, vals = load_node_table(path)
-                _check_node_index(idx, mesh.num_nodes)
+                values = load_solution(path, mesh)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot load table {path}: {exc}") from exc
-            values = np.full(mesh.num_nodes, np.nan)
-            values[idx] = vals
-            if np.any(np.isnan(values)):
-                raise ConfigError(f"{where}: table {path} does not cover every node")
             return ScalarField.from_table(mesh, values)
         if kind == "expr":
             allowed = ("x", "y")[: mesh.dim]
@@ -257,12 +246,8 @@ def _build_problem(spec, mesh: Mesh, base_dir: Path):
             )
         return case, case.rhs, case.term
     if kind == "rhs":
-        allowed = ("x", "y")[: mesh.dim]
-        try:
-            expr = parse_expression(str(_require(spec, "expr", "problem")), allowed)
-        except ValueError as exc:
-            raise ConfigError(f"problem.expr: {exc}") from exc
-        return None, lambda pts: expr(n=pts.shape[0], **_coords(pts)), None
+        expr = {"kind": "expr", "expr": _require(spec, "expr", "problem")}
+        return None, _build_field(expr, mesh, base_dir, "problem.expr"), None
     if kind == "term":
         try:
             fn = _term_evaluator(str(_require(spec, "expr", "problem")), mesh)
@@ -311,28 +296,24 @@ def parse_config(data: dict, base_dir=".") -> RunConfig:
     unknown = set(tol_spec) - {"norm_tol", "newton_tol", "outer_tol", "eigen_tol"}
     if unknown:
         raise ConfigError(f"unknown tolerance name(s): {', '.join(sorted(unknown))}")
-    tolerances = Tolerances(**tol_spec)
+    tols = {k: _number(tol_spec, k, "tolerances", positive=True) for k in tol_spec}
+    eigen_tol = tols.pop("eigen_tol", DEFAULT_EIGEN_TOL)
     order = _integer(data, "quadrature_order", "config", DEFAULT_QUAD_ORDER, MIN_QUAD_ORDER)
     if order > MAX_QUAD_ORDER:
         raise ConfigError(
             f"config.quadrature_order must be at most {MAX_QUAD_ORDER}, got {order}"
         )
     eps_reg = _number(data, "eps_reg", "config", default=DEFAULT_EPS_REG, positive=True)
-    seed = _integer(data, "seed", "config", 0, 0)
-    output_dir = Path(data.get("output_dir", "out"))
-    if not output_dir.is_absolute():
-        output_dir = base_dir / output_dir
     return RunConfig(
         mesh=mesh,
         phase=phase,
         case=case,
         rhs=rhs,
         term=term,
-        tolerances=tolerances,
-        order=order,
-        eps_reg=eps_reg,
-        seed=seed,
-        output_dir=output_dir,
+        options=SolverOptions(order=order, eps_reg=eps_reg, **tols),
+        eigen_tol=eigen_tol,
+        seed=_integer(data, "seed", "config", 0, 0),
+        output_dir=_path(data, "output_dir", "config", base_dir, default="out"),
     )
 
 

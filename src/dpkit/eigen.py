@@ -39,6 +39,8 @@ __all__ = [
     "uniqueness_margin",
 ]
 
+DEFAULT_EIGEN_TOL = 1e-10  # relative eigenvalue change that ends an iteration
+
 
 def stiffness_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matrix:
     """P1 stiffness matrix int grad phi_i . grad phi_j dx over all nodes."""
@@ -116,7 +118,7 @@ def _normalized(u: DiscreteFunction, r: float, order: int) -> DiscreteFunction:
 def first_eigenvalue(
     mesh: Mesh,
     r: float = 2.0,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_EIGEN_TOL,
     order: int = DEFAULT_QUAD_ORDER,
     max_iter: int = 400,
 ) -> EigenResult:

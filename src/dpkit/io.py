@@ -6,7 +6,9 @@ Every writer formats a whole table in one printf-style pass
 trip is bit-exact and reruns produce byte-identical artifacts.  CSV files
 use commas and ``\\r\\n`` line ends, as Python's ``csv`` module writes them;
 VTK files use spaces and ``\\n``.  The readers place each row by its
-``node_index`` column, not by its position in the file.
+``node_index`` column, not by its position in the file.  A solution CSV
+(``node_index[,x[,y]],value``, every node once) is also what ``dpkit norm
+--input`` and a config's ``table`` field read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "save_solution",
     "load_solution",
     "save_vtk",
-    "load_node_table",
 ]
 
 
@@ -111,13 +112,16 @@ def load_solution(path, mesh: Mesh) -> np.ndarray:
 
     Accepts both the full format (with coordinates) and the bare
     ``node_index,value`` form; raises ValueError if the node count differs,
-    a node index is out of range or repeats, or a value is not finite.
+    a row lacks an index or a value, a node index is out of range or
+    repeats, or a value is not finite.
     """
     rows = _read_rows(Path(path), "solution")
     if len(rows) != mesh.num_nodes:
         raise ValueError(
             f"solution has {len(rows)} rows but the mesh has {mesh.num_nodes} nodes"
         )
+    if any(len(row) < 2 for row in rows):
+        raise ValueError("every row needs a node_index and a value")
     index = np.array([int(row[0]) for row in rows], dtype=np.intp)
     _check_node_index(index, mesh.num_nodes)
     values = np.empty(mesh.num_nodes)
@@ -125,14 +129,6 @@ def load_solution(path, mesh: Mesh) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("solution values must be finite")
     return values
-
-
-def load_node_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a (node_index, value) CSV used by table field specs."""
-    rows = _read_rows(Path(path), "table")
-    idx = np.array([int(row[0]) for row in rows], dtype=np.intp)
-    vals = np.array([float(row[-1]) for row in rows])
-    return idx, vals
 
 
 def save_vtk(path, u: DiscreteFunction, name: str = "u") -> None:

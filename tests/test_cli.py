@@ -111,6 +111,17 @@ def test_norm_node_mismatch_exits_two(tmp_path):
     assert main(["norm", str(cfgpath), "--input", str(fn)]) == 2
 
 
+def test_norm_one_column_input_exits_two(tmp_path, capsys):
+    # node_index alone: no row holds a value to read
+    cfgpath = write_config(tmp_path)
+    fn = tmp_path / "u.csv"
+    fn.write_text("node_index\n" + "".join(f"{i}\n" for i in range(33)))
+    assert main(["norm", str(cfgpath), "--input", str(fn), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: every row needs a node_index and a value")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # eigen
 
@@ -244,6 +255,48 @@ def test_bad_span_or_slope_element_exits_two(tmp_path, capsys, mesh, p):
     )
     assert main(["solve", str(cfgpath), "--no-timestamp"]) == 2
     assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+BIG = 10**400  # a JSON int too large for a float
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"fields": {"p": BIG, "q": 3.0, "mu": 1.0, "dim": 3}},
+        {"problem": {"kind": "term", "expr": "0.1 * s", "r": BIG,
+                     "a1": 0.1, "a2": 0.0, "b1": 0.1, "b2": 0.0}},
+        {"problem": {"kind": "term", "expr": "0.1 * s", "alpha": BIG,
+                     "a1": 0.1, "a2": 0.0, "b1": 0.1, "b2": 0.0}},
+        {"tolerances": {"newton_tol": BIG}},
+        {"fields": {"p": 2.0, "q": 3.0, "mu": 1.0, "dim": BIG}},
+        {"seed": 2**1024},
+        {"output_dir": 5},
+        {"mesh": {"kind": "files", "path": 5}},
+        {"fields": {"p": 2.0, "q": 3.0, "mu": {"kind": "table", "path": 5}}},
+        {"fields": {"p": 2.0, "q": 3.0, "mu": {"kind": "table", "path": "mu.csv"}}},
+    ],
+    ids=["bigint-p", "bigint-r", "bigint-alpha", "bigint-tolerance", "bigint-dim",
+         "bigint-seed", "output-dir-number", "mesh-path-number", "table-path-number",
+         "one-column-table"],
+)
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_malformed_config_value_exits_two(tmp_path, capsys, command, extra):
+    # node_index alone: every node's index would be read as its value
+    (tmp_path / "mu.csv").write_text("node_index\n" + "".join(f"{i}\n" for i in range(9)))
+    data = {
+        "mesh": {"kind": "interval", "n": 8},
+        "fields": {"p": 2.0, "q": 3.0, "mu": 1.0, "dim": 3},
+        "problem": {"kind": "rhs", "expr": "1"},
+        "output_dir": "out",
+    }
+    data.update(extra)
+    cfgpath = tmp_path / "run.json"
+    cfgpath.write_text(json.dumps(data))
+    assert main([command, str(cfgpath), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -690,13 +743,13 @@ def test_threads_env_count_is_rejected_under_its_own_name(monkeypatch, capsys):
     "bad_row", ["33,1.0", "-1,1.0", "0,1.0"], ids=["past-end", "negative", "repeated"]
 )
 def test_table_field_rejects_bad_node_index(tmp_path, capsys, bad_row):
-    # the 32-cell interval has nodes 0..32; every node is covered once
-    # before the bad row is appended
-    rows = ["node_index,value"] + [f"{i},1.0" for i in range(33)] + [bad_row]
+    # the 32-cell interval has nodes 0..32; the bad row takes node 32's place
+    rows = ["node_index,value"] + [f"{i},1.0" for i in range(32)] + [bad_row]
     (tmp_path / "mu.csv").write_text("\n".join(rows) + "\n")
     path = write_config(tmp_path)
     data = json.loads(path.read_text())
     data["fields"]["mu"] = {"kind": "table", "path": "mu.csv"}
     path.write_text(json.dumps(data))
     assert main(["validate", str(path), "--no-timestamp"]) == 2
-    assert "configuration error: cannot load table" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error: cannot load table" in err and "node indices must" in err

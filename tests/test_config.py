@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from dpkit.config import Tolerances, load_config, parse_config
+from dpkit.config import load_config, parse_config
+from dpkit.eigen import DEFAULT_EIGEN_TOL
 from dpkit.errors import ConfigError
+from dpkit.fem import DiscreteFunction, build_rect_mesh
+from dpkit.io import save_solution
+from dpkit.solve import SolverOptions
 
 
 BASE = {
@@ -26,8 +30,9 @@ def test_minimal_config_defaults():
     assert rc.mesh.num_nodes == 17
     assert rc.order == 4
     assert rc.seed == 0
-    assert rc.eps_reg == pytest.approx(1e-8)
-    assert rc.tolerances == Tolerances()
+    assert rc.solver_options() == SolverOptions()
+    assert rc.solver_options().eps_reg == pytest.approx(1e-8)
+    assert rc.eigen_tol == DEFAULT_EIGEN_TOL == 1e-10
     assert rc.case is None and rc.rhs is None and rc.term is None
 
 
@@ -46,6 +51,27 @@ def test_field_shorthand_and_specs(tmp_path):
     pts = np.array([[0.5]])
     assert rc.phase.p(pts)[0] == 2.0
     assert rc.phase.q(pts)[0] == pytest.approx(2.75)
+
+
+def test_node_table_roundtrip(tmp_path):
+    # rows out of order are placed by node_index
+    values = [0.5 + 0.01 * i for i in range(17)]
+    rows = ["node_index,value"] + [f"{i},{values[i]!r}" for i in reversed(range(17))]
+    (tmp_path / "mu.csv").write_text("\n".join(rows) + "\n")
+    data = cfg()
+    data["fields"]["mu"] = {"kind": "table", "path": "mu.csv"}
+    rc = parse_config(data, base_dir=tmp_path)
+    np.testing.assert_array_equal(rc.phase.mu.params["values"], values)
+    # a save_solution file carries coordinate columns before the value
+    mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 3, 3)
+    u = DiscreteFunction(mesh, 1.0 + np.sin(np.arange(mesh.num_nodes)) / 3.0)
+    save_solution(tmp_path / "p.csv", u)
+    data = {
+        "mesh": {"kind": "rect", "nx": 3, "ny": 3},
+        "fields": {"p": {"kind": "table", "path": "p.csv"}, "q": 3.0, "mu": 1.0},
+    }
+    rc = parse_config(data, base_dir=tmp_path)
+    np.testing.assert_array_equal(rc.phase.p.params["values"], u.values)
 
 
 def test_expr_field_kind():
@@ -183,7 +209,7 @@ def test_table_must_cover_every_node(tmp_path):
     table.write_text("node_index,value\n0,2.0\n")
     data = cfg()
     data["fields"]["p"] = {"kind": "table", "path": "p.csv"}
-    with pytest.raises(ConfigError, match="cover"):
+    with pytest.raises(ConfigError, match="has 1 rows but the mesh has 17 nodes"):
         parse_config(data, base_dir=tmp_path)
 
 

@@ -10,7 +10,6 @@ from dpkit.cli import main
 from dpkit.fem import DiscreteFunction, Mesh, build_interval_mesh, build_rect_mesh
 from dpkit.io import (
     load_mesh,
-    load_node_table,
     load_solution,
     save_mesh,
     save_solution,
@@ -80,14 +79,6 @@ def test_solution_rejects_non_finite_values(tmp_path, interval_mesh, bad):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="finite"):
         load_solution(path, interval_mesh)
-
-
-def test_node_table_roundtrip(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("node_index,value\n0,1.5\n2,2.5\n")
-    idx, vals = load_node_table(path)
-    np.testing.assert_array_equal(idx, [0, 2])
-    np.testing.assert_array_equal(vals, [1.5, 2.5])
 
 
 def test_vtk_structure_2d(tmp_path, square_mesh):
