@@ -374,6 +374,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a mesh or run too large for memory
+        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG

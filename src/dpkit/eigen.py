@@ -8,10 +8,10 @@ blocks by :meth:`Mesh.scatter_free` and solved by inverse power iteration.
 K is symmetric positive definite, so it is factored once in a symmetric
 fill-reducing order (minimum degree on K^T + K).  For r != 2 a normalized
 inverse iteration is used: each step solves the monotone problem
-A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k and renormalizes; convergence is
-declared on Rayleigh-quotient stagnation.  The inner Newton solves share one
-:class:`dpkit.solve.FactorCarry` (see its docstring for the preconditioner
-rules).
+A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k and renormalizes.  Either iteration
+ends on Rayleigh-quotient stagnation, or raises after MAX_EIGEN_ITER steps;
+the inner Newton solves share one :class:`dpkit.solve.FactorCarry` (see its
+docstring for the preconditioner rules).
 
 The margins below are the positivity conditions under which the convection
 problem is coercive (existence) and the p = 2 problem has a unique solution.
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_EIGEN_TOL = 1e-10  # relative eigenvalue change that ends an iteration
+MAX_EIGEN_ITER = 400  # steps before an unconverged eigen iteration raises
 
 
 def stiffness_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matrix:
@@ -120,7 +121,6 @@ def first_eigenvalue(
     r: float = 2.0,
     tol: float = DEFAULT_EIGEN_TOL,
     order: int = DEFAULT_QUAD_ORDER,
-    max_iter: int = 400,
 ) -> EigenResult:
     """First Dirichlet eigenvalue of the r-Laplacian on the mesh."""
     r = float(r)
@@ -133,11 +133,11 @@ def first_eigenvalue(
     if tol == np.inf:  # would stop after one iteration, unconverged
         raise ValueError(f"tol must be finite, got tol = {tol}")
     if r == 2.0:
-        return _first_eigenvalue_linear(mesh, tol, order, max_iter)
-    return _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter)
+        return _first_eigenvalue_linear(mesh, tol, order)
+    return _first_eigenvalue_nonlinear(mesh, r, tol, order)
 
 
-def _first_eigenvalue_linear(mesh, tol, order, max_iter) -> EigenResult:
+def _first_eigenvalue_linear(mesh, tol, order) -> EigenResult:
     free = mesh.free_nodes
     K = mesh.scatter_free(_stiffness_local(mesh)).tocsc()
     M = mesh.scatter_free(_mass_local(mesh, order))
@@ -145,7 +145,7 @@ def _first_eigenvalue_linear(mesh, tol, order, max_iter) -> EigenResult:
     x = _coordinate_bump(mesh).values[free]
     lam = float(x @ (K @ x)) / float(x @ (M @ x))
     history = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_EIGEN_ITER + 1):
         x = lu.solve(M @ x)
         x /= np.linalg.norm(x)
         lam_new = float(x @ (K @ x)) / float(x @ (M @ x))
@@ -159,12 +159,12 @@ def _first_eigenvalue_linear(mesh, tol, order, max_iter) -> EigenResult:
             _check_one_sign(u)
             return EigenResult(lam, u, 2.0, it, history)
     raise NumericError(
-        f"inverse iteration did not stagnate within {max_iter} iterations "
+        f"inverse iteration did not stagnate within {MAX_EIGEN_ITER} iterations "
         f"(last eigenvalue change {history[-1]:.3e})"
     )
 
 
-def _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter) -> EigenResult:
+def _first_eigenvalue_nonlinear(mesh, r, tol, order) -> EigenResult:
     from .solve import FactorCarry, SolverOptions, solve_monotone  # deferred: solver uses margins
 
     from .operator import _power0, assemble_load
@@ -178,7 +178,7 @@ def _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter) -> EigenResult:
     opts = SolverOptions(newton_tol=min(1e-11, tol), order=order)
     carry = FactorCarry()  # freed on return: the preconditioner never outlives this solve
     history = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_EIGEN_ITER + 1):
         uv = u.values_at(order)
         # 0**(r-2) = 0: for r < 2 the plain power gives 0 * inf = nan at u = 0
         samples = lam * _power0(np.abs(uv), r - 2.0) * uv
@@ -193,7 +193,7 @@ def _first_eigenvalue_nonlinear(mesh, r, tol, order, max_iter) -> EigenResult:
             _check_one_sign(u)
             return EigenResult(lam, u, r, it, history)
     raise NumericError(
-        f"eigen iteration for r={r} did not stagnate within {max_iter} iterations "
+        f"eigen iteration for r={r} did not stagnate within {MAX_EIGEN_ITER} iterations "
         f"(last eigenvalue change {history[-1]:.3e})"
     )
 

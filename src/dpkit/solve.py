@@ -15,15 +15,17 @@ sum_g w (1 + mu) G G^T, which is J(0) itself on a linear phase (p = 2 and
 mu (q - 2) = 0).  At eps_reg it would scale like eps_reg^(p-2), 1e-32 at
 p = 6, and give a step that the line search must damp or cannot shorten
 enough.  ``solve_convection`` handles A(u) = f(x, u, grad u) by an outer
-Picard loop that freezes (u, grad u) in f, relaxes the update, and halves
-the relaxation whenever the outer residual increases.  The outer residual is
-:func:`weak_residual`, a dual-norm residual over the nodal hats, evaluated
-with the frozen load of the trial iterate, which the next inner solve then
-reuses; the hats' gradient Luxemburg norms are built from their element
-patches in one batched root-find and kept on the mesh, so the Picard loop
-and a caller re-checking the residual at the returned iterate share one
-build.  Existence requires the coercivity margin of the declared growth
-constants to be positive; that margin is checked before any iteration runs.
+Picard loop that freezes (u, grad u) in f, relaxes the update from theta = 1,
+and halves theta whenever the outer residual increases, down to MIN_THETA.
+The outer residual is :func:`weak_residual`, a dual-norm residual over the
+nodal hats, evaluated with the frozen load of the trial iterate, which the
+next inner solve then reuses; the hats' gradient Luxemburg norms are built
+from their element patches in one batched root-find and kept on the mesh, so
+the Picard loop and a caller re-checking the residual at the returned iterate
+share one build.  Existence requires the coercivity margin of the declared
+growth constants to be positive; that margin is checked before any iteration
+runs.  :class:`SolverOptions` holds exactly the settings a run config sets;
+every other limit is a module constant.
 """
 
 from __future__ import annotations
@@ -71,37 +73,30 @@ PCG_MAX_ITER = 20
 PCG_MIN_FACTOR_NNZ = 4096
 MG_JACOBI_WEIGHT = 0.6
 
+# Newton's limits (a step is halved up to MAX_BACKTRACKS times, to an ARMIJO
+# fraction of the merit slope) and Picard's (see the module docstring).
+MAX_NEWTON = 80
+MAX_BACKTRACKS = 50
+ARMIJO = 1e-4
+MAX_OUTER = 200
+WEAK_TOL = 1e-8
+MIN_THETA = 1.0 / 16.0
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and limits shared by the solvers."""
+    """The solver settings a run config sets (see the module docstring)."""
 
     newton_tol: float = 1e-10
-    max_newton: int = 80
+    outer_tol: float = 1e-10
+    norm_tol: float = DEFAULT_NORM_TOL
     eps_reg: float = DEFAULT_EPS_REG
     order: int = DEFAULT_QUAD_ORDER
-    outer_tol: float = 1e-10
-    weak_tol: float = 1e-8
-    max_outer: int = 200
-    theta: float = 1.0
-    min_theta: float = 1.0 / 16.0
-    armijo: float = 1e-4
-    max_backtracks: int = 50
-    norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
-        for name in ("newton_tol", "outer_tol", "weak_tol", "norm_tol", "eps_reg"):
+        for name in ("newton_tol", "outer_tol", "norm_tol", "eps_reg"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("max_newton", "max_outer", "max_backtracks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
-        if not 0.0 < self.min_theta <= self.theta:
-            raise ValueError("min_theta must lie in (0, theta]")
-        if not 0.0 < self.armijo < 1.0:
-            raise ValueError("armijo must lie in (0, 1)")
 
 
 @dataclass
@@ -349,16 +344,16 @@ def solve_monotone(
     res_norm = asm.residual_norm
     history.append(res_norm)
     merit.append(_merit(asm.residual))
-    for it in range(opts.max_newton + 1):
+    for it in range(MAX_NEWTON + 1):
         if res_norm <= opts.newton_tol:
             return SolveReport(
                 u, True, res_norm, it, history=history, energy_history=merit,
                 factorizations=linear.factorizations - factorizations0,
                 pcg_iterations=linear.pcg_iterations - pcg_iterations0,
             )
-        if it == opts.max_newton:
+        if it == MAX_NEWTON:
             raise NumericError(
-                f"Newton did not converge in {opts.max_newton} iterations "
+                f"Newton did not converge in {MAX_NEWTON} iterations "
                 f"(residual {res_norm:.3e}, tol {opts.newton_tol:.3e})"
             )
         zero_start = not np.any(u.gradients)
@@ -371,14 +366,14 @@ def solve_monotone(
         phi0 = merit[-1]
         slope = -2.0 * phi0  # directional derivative of phi along delta
         t = 1.0
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             vals = u.values.copy()
             vals[free] += t * delta
             trial = DiscreteFunction(mesh, vals, zero_boundary=True)
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite: rejected
                 trial_asm = assemble_residual(trial, phase, load, opts.order)
             phi = _merit(trial_asm.residual)
-            if np.isfinite(phi) and phi <= phi0 + opts.armijo * t * slope:
+            if np.isfinite(phi) and phi <= phi0 + ARMIJO * t * slope:
                 break
             t *= 0.5
             linear.precond = None  # a damped step keeps none; freed before the next trial
@@ -465,7 +460,7 @@ def solve_convection(
     positive (PreconditionError otherwise).  Each outer step freezes (u,
     grad u) inside f, solves the monotone problem, and relaxes the update;
     the relaxation is halved whenever the outer residual grows, down to
-    ``options.min_theta`` before declaring failure.
+    MIN_THETA before declaring failure.
     """
     opts = options or SolverOptions()
     p_minus, _ = field_bounds(phase.p, mesh, opts.order)
@@ -488,13 +483,13 @@ def solve_convection(
         newton_total = warm.newton_iterations
     else:
         u = initial.zero_on_boundary() if not initial.zero_boundary else initial
-    theta = opts.theta
+    theta = 1.0
     # the frozen load of the current iterate: built once, it serves both the
     # weak residual and the next inner solve
     load = _term_load(term, u, opts.order)
     prev_res = weak_residual(u, load, phase, opts.order, opts.norm_tol)
     history = [prev_res]
-    for it in range(1, opts.max_outer + 1):
+    for it in range(1, MAX_OUTER + 1):
         inner = solve_monotone(phase, mesh, load, opts, initial=u, carry=carry)
         newton_total += inner.newton_iterations
         while True:
@@ -502,18 +497,18 @@ def solve_convection(
             unew = DiscreteFunction(mesh, vals, zero_boundary=True)
             load = _term_load(term, unew, opts.order)
             res = weak_residual(unew, load, phase, opts.order, opts.norm_tol)
-            if res <= prev_res or res <= opts.weak_tol:
+            if res <= prev_res or res <= WEAK_TOL:
                 break
             theta *= 0.5
-            if theta < opts.min_theta:
+            if theta < MIN_THETA:
                 raise NumericError(
-                    f"Picard relaxation exhausted (theta < {opts.min_theta}) at outer "
+                    f"Picard relaxation exhausted (theta < {MIN_THETA}) at outer "
                     f"iteration {it} with residual {res:.3e}"
                 )
         history.append(res)
         # the step norm is a full-mesh root, so it is taken only once the
         # residual has passed
-        if res <= opts.weak_tol and (
+        if res <= WEAK_TOL and (
             luxemburg_norm(unew - u, phase, "gradient", opts.norm_tol, opts.order)
             <= opts.outer_tol
         ):
@@ -523,7 +518,7 @@ def solve_convection(
             )
         u, prev_res = unew, res
     raise NumericError(
-        f"Picard iteration did not converge in {opts.max_outer} outer steps "
+        f"Picard iteration did not converge in {MAX_OUTER} outer steps "
         f"(weak residual {prev_res:.3e})"
     )
 

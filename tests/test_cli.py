@@ -259,6 +259,7 @@ def test_bad_span_or_slope_element_exits_two(tmp_path, capsys, mesh, p):
 
 
 BIG = 10**400  # a JSON int too large for a float
+HUGE = 10**18  # a cell count whose first array (8 EiB) exceeds any address space
 
 
 @pytest.mark.parametrize(
@@ -276,10 +277,12 @@ BIG = 10**400  # a JSON int too large for a float
         {"mesh": {"kind": "files", "path": 5}},
         {"fields": {"p": 2.0, "q": 3.0, "mu": {"kind": "table", "path": 5}}},
         {"fields": {"p": 2.0, "q": 3.0, "mu": {"kind": "table", "path": "mu.csv"}}},
+        {"mesh": {"kind": "interval", "n": HUGE}},
+        {"mesh": {"kind": "rect", "nx": HUGE, "ny": HUGE}},
     ],
     ids=["bigint-p", "bigint-r", "bigint-alpha", "bigint-tolerance", "bigint-dim",
          "bigint-seed", "output-dir-number", "mesh-path-number", "table-path-number",
-         "one-column-table"],
+         "one-column-table", "huge-interval", "huge-rect"],
 )
 @pytest.mark.parametrize("command", ["validate", "solve"])
 def test_malformed_config_value_exits_two(tmp_path, capsys, command, extra):
@@ -682,6 +685,14 @@ def test_convergence_bad_mesh_list(tmp_path):
     cfgpath = write_config(tmp_path)
     assert main(["convergence", str(cfgpath), "--case", "poisson-1d", "--meshes", "8"]) == 2
     assert main(["convergence", str(cfgpath), "--case", "poisson-1d", "--meshes", "a,b"]) == 2
+
+
+def test_convergence_oversized_mesh_exits_two(tmp_path, capsys):
+    cfgpath = write_config(tmp_path)
+    argv = ["convergence", str(cfgpath), "--case", "poisson-1d", "--meshes", f"16,{HUGE}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Run-configuration parsing and its error taxonomy."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -34,6 +35,19 @@ def test_minimal_config_defaults():
     assert rc.solver_options().eps_reg == pytest.approx(1e-8)
     assert rc.eigen_tol == DEFAULT_EIGEN_TOL == 1e-10
     assert rc.case is None and rc.rhs is None and rc.term is None
+
+
+def test_solver_options_are_the_config_settings():
+    # every SolverOptions field is a config setting, and each is read from it
+    settings = {"newton_tol": 1e-9, "outer_tol": 1e-7, "norm_tol": 1e-11,
+                "eps_reg": 1e-6, "order": 6}
+    assert {f.name for f in dataclasses.fields(SolverOptions)} == set(settings)
+    assert all(getattr(SolverOptions(), k) != v for k, v in settings.items())
+    rc = parse_config(cfg(
+        tolerances={k: settings[k] for k in ("newton_tol", "outer_tol", "norm_tol")},
+        eps_reg=settings["eps_reg"], quadrature_order=settings["order"],
+    ))
+    assert rc.solver_options() == SolverOptions(**settings)
 
 
 def test_field_shorthand_and_specs(tmp_path):

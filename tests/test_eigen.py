@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+import dpkit.eigen
 import dpkit.solve
 from dpkit.eigen import (
     coercivity_margin,
@@ -201,10 +202,11 @@ def test_first_eigenvalue_rejects_nan_tol(r):
             first_eigenvalue(build_interval_mesh(0.0, 1.0, 8), r=r, tol=tol)
 
 
-def test_eigen_budget_exhaustion_raises():
+def test_eigen_budget_exhaustion_raises(monkeypatch):
     mesh = build_interval_mesh(0.0, 1.0, 64)
-    with pytest.raises(NumericError):
-        first_eigenvalue(mesh, r=2.0, tol=1e-16, max_iter=1)
+    monkeypatch.setattr(dpkit.eigen, "MAX_EIGEN_ITER", 1)
+    with pytest.raises(NumericError, match="within 1 iterations"):
+        first_eigenvalue(mesh, r=2.0, tol=1e-16)
 
 
 # ---------------------------------------------------------------------------
