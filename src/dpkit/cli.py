@@ -316,7 +316,7 @@ def cmd_verify(args) -> int:
 
 def cmd_convergence(args) -> int:
     from .errors import ConfigError
-    from .problems import manufactured_case
+    from .problems import L2_RATE_WINDOW, manufactured_case
 
     cfg = _load(args)
     if args.case is not None:
@@ -340,14 +340,15 @@ def cmd_convergence(args) -> int:
         rep = case.solve(mesh, opts)
         errors.append(case.l2_error(rep.u, cfg.order))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
-    passed = all(3.5 <= r <= 4.5 for r in ratios)
+    lo, hi = L2_RATE_WINDOW
+    passed = all(lo <= r <= hi for r in ratios)
     data = {
         "command": "convergence",
         "case": case.name,
         "meshes": sizes,
         "l2_errors": errors,
         "ratios": ratios,
-        "rate_window": [3.5, 4.5],
+        "rate_window": list(L2_RATE_WINDOW),
         "passed": passed,
     }
     _write(cfg, args, data)

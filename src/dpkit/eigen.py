@@ -43,7 +43,7 @@ DEFAULT_EIGEN_TOL = 1e-10  # relative eigenvalue change that ends an iteration
 MAX_EIGEN_ITER = 400  # steps before an unconverged eigen iteration raises
 
 
-def stiffness_matrix(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> sp.csr_matrix:
+def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 stiffness matrix int grad phi_i . grad phi_j dx over all nodes."""
     return mesh.scatter(_stiffness_local(mesh))
 

@@ -10,11 +10,11 @@ Reference rules and their P1 basis are built once per (dimension, order).
 A mesh keeps everything else it builds on first use in one cache,
 :meth:`Mesh.cached`, with one value per slot and every array read-only, so
 an in-place edit raises: quadrature points and weights per order, the
-Gram block ``Mesh.gram``, the free x free CSR pattern of ``Mesh.scatter_free``,
-the edge list ``Mesh.edges``, the multigrid prolongators of
-``Mesh.prolongators`` and, rebuilt when a field object changes, the
-(p, q, mu) samples of ``DoublePhase.at_quadrature`` and the hat norms of
-``modular._hat_norms``.
+Gram block ``Mesh.gram``, the CSR patterns of ``Mesh.scatter`` (slot
+``"pattern"``) and ``Mesh.scatter_free`` (slot ``"free_pattern"``), the edge
+list ``Mesh.edges``, the multigrid prolongators of ``Mesh.prolongators``
+and, rebuilt when a field object changes, the (p, q, mu) samples of
+``DoublePhase.at_quadrature`` and the hat norms of ``modular._hat_norms``.
 """
 
 from __future__ import annotations
@@ -232,27 +232,22 @@ class Mesh:
         return np.asarray(fn(pts.reshape(-1, self.dim)), dtype=float).reshape(w.shape)
 
     def scatter(self, local: np.ndarray) -> sp.csr_matrix:
-        """Sum per-element matrices (nelems, nv, nv) into a global CSR matrix."""
-        nv = self.elements.shape[1]
-        rows = np.repeat(self.elements, nv, axis=1).ravel()
-        cols = np.tile(self.elements, (1, nv)).ravel()
-        return sp.coo_matrix(
-            (local.ravel(), (rows, cols)), shape=(self.num_nodes, self.num_nodes)
-        ).tocsr()
+        """Sum per-element matrices (nelems, nv, nv) into a global CSR matrix,
+        in element order (see :meth:`_scatter`)."""
+        return self._scatter("pattern", np.arange(self.num_nodes), local)
 
     def scatter_free(self, local: np.ndarray) -> sp.csr_matrix:
-        """Sum per-element matrices (nelems, nv, nv) into the free x free block.
+        """Sum per-element matrices (nelems, nv, nv) into the free x free block,
+        in element order: ``scatter(local)`` on the free nodes, bit for bit."""
+        return self._scatter("free_pattern", self.free_nodes, local)
 
-        Uses the free-node pattern built on first use (see
-        :func:`_free_pattern`): entries are added in element order and entries
-        touching a boundary node are dropped.  The result is in canonical CSR
-        format, and symmetric local matrices give an exactly symmetric one.
-        """
-        indptr, indices, slot = self.cached("free_pattern", (), lambda: _free_pattern(self))
+    def _scatter(self, slot: str, nodes: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
+        """The nodes x nodes block through the pattern kept in ``slot`` (see
+        :func:`_pattern`): canonical CSR, symmetric for symmetric ``local``."""
+        indptr, indices, where = self.cached(slot, (), lambda: _pattern(self, nodes))
         nnz = indices.size
-        data = np.bincount(slot, np.ravel(local), nnz + 1)[:nnz]
-        n = self.free_nodes.size
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+        data = np.bincount(where, np.ravel(local), nnz + 1)[:nnz]
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nodes.size,) * 2)
 
     def scatter_vector(self, local: np.ndarray) -> np.ndarray:
         """Sum per-element vectors (nelems, nv) into a nodal vector, in element order."""
@@ -284,16 +279,16 @@ def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack(np.divmod(key, n))
 
 
-def _free_pattern(mesh: Mesh):
-    """CSR pattern of the free x free block and the slot of every local entry.
+def _pattern(mesh: Mesh, nodes: np.ndarray):
+    """CSR pattern of the nodes x nodes block and the slot of every local entry.
 
     Returns ``(indptr, indices, slot)``: ``slot`` (int32, one per entry of the
     (nelems, nv, nv) local matrices in C order) is the entry's position in
-    the CSR data, or nnz for an entry that touches a boundary node.
+    the CSR data, or nnz for an entry outside the block.
     """
-    n = mesh.free_nodes.size
+    n = nodes.size
     index = np.full(mesh.num_nodes, -1, dtype=np.int32)
-    index[mesh.free_nodes] = np.arange(n, dtype=np.int32)
+    index[nodes] = np.arange(n, dtype=np.int32)
     nv = mesh.elements.shape[1]
     elems = index[mesh.elements]
     rows = np.repeat(elems, nv, axis=1).ravel()

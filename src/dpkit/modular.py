@@ -92,11 +92,9 @@ def _parts(u: DiscreteFunction, phase: DoublePhase, order: int, which: str) -> l
     """(coefs, expos) of each part of a modular variant, in term order.
 
     For each of |u| and |grad u| that the variant takes, the p-part and then
-    the q-part; the private ``"seminorm"`` is the q-part of |u|.
+    the q-part.
     """
     p, q, mu, w = phase.at_quadrature(u.mesh, order)
-    if which == "seminorm":
-        return [_part_terms(np.abs(u.values_at(order)), q, w * mu)[:2]]
     parts = []
     for on in _VARIANTS[which]:
         s = np.abs(u.values_at(order)) if on == "value" else u.gradient_norms()[:, None]
@@ -377,7 +375,8 @@ def weighted_seminorm(
     Vanishes whenever mu |u| vanishes at all quadrature samples, which is
     what makes it a seminorm rather than a norm.
     """
-    coefs, expos = _collect_terms(u, phase, order, "seminorm")
+    _, q, mu, w = phase.at_quadrature(u.mesh, order)
+    coefs, expos, _ = _part_terms(np.abs(u.values_at(order)), q, w * mu)
     return float(_luxemburg_roots(coefs[None], expos[None], tol)[0][0])
 
 

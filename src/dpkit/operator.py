@@ -117,7 +117,6 @@ class OperatorAssembly:
     """Residual of the weak form over free nodes."""
 
     residual: np.ndarray
-    free_nodes: np.ndarray
 
     @property
     def residual_norm(self) -> float:
@@ -144,7 +143,7 @@ def assemble_residual(
         if rhs.shape != (mesh.num_nodes,):
             raise ValueError("rhs must be a full-node load vector")
         res = res - rhs
-    return OperatorAssembly(res[mesh.free_nodes], mesh.free_nodes)
+    return OperatorAssembly(res[mesh.free_nodes])
 
 
 def assemble_jacobian(

@@ -30,6 +30,8 @@ __all__ = [
     "growth_example_term",
 ]
 
+L2_RATE_WINDOW = (3.5, 4.5)  # L2 error ratios per mesh halving that pass as 2nd order
+
 
 @dataclass(frozen=True)
 class ManufacturedCase:

@@ -50,7 +50,7 @@ from .operator import (
     gradient_check,
     monotonicity_probe,
 )
-from .problems import manufactured_case
+from .problems import L2_RATE_WINDOW, manufactured_case
 from .solve import SolverOptions, solve_monotone, verify_uniqueness
 
 __all__ = [
@@ -513,7 +513,8 @@ def _prop_poisson_rate(seed: int):
         mesh = case.build_mesh(n)
         errs.append(case.l2_error(case.solve(mesh).u))
     ratios = [a / b for a, b in zip(errs, errs[1:])]
-    ok = all(3.5 <= r <= 4.5 for r in ratios)
+    lo, hi = L2_RATE_WINDOW
+    ok = all(lo <= r <= hi for r in ratios)
     return ok, "L2 ratios " + ", ".join(f"{r:.3f}" for r in ratios)
 
 

@@ -306,10 +306,7 @@ def _as_load(mesh: Mesh, rhs, order: int) -> np.ndarray:
         return np.zeros(mesh.num_nodes)
     if callable(rhs):
         return assemble_load(mesh, rhs, order)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (mesh.num_nodes,):
-        raise ValueError("rhs must be a callable or a full-node load vector")
-    return rhs
+    return np.asarray(rhs, dtype=float)  # its shape is checked by assemble_residual
 
 
 def solve_monotone(

@@ -16,7 +16,7 @@ from dpkit.eigen import (
     uniqueness_margin,
 )
 from dpkit.errors import NumericError
-from dpkit.fem import build_interval_mesh, build_rect_mesh, integrate_samples
+from dpkit.fem import DEFAULT_QUAD_ORDER, build_interval_mesh, build_rect_mesh, integrate_samples
 
 from conftest import sine_bump
 
@@ -50,6 +50,24 @@ def test_mass_matrix_rows_sum_to_hat_integrals():
     h = 0.25
     np.testing.assert_allclose(M.sum(axis=1)[1:-1], h, atol=1e-14)
     assert M.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_interval_mesh(0.0, 1.0, 9), build_rect_mesh((0.0, 2.0), (0.0, 1.0), 5, 4)],
+    ids=["interval", "rect"],
+)
+def test_matrices_on_free_nodes_are_the_eigen_blocks(mesh):
+    free = mesh.free_nodes
+    for full, local in (
+        (stiffness_matrix(mesh), dpkit.eigen._stiffness_local(mesh)),
+        (mass_matrix(mesh), dpkit.eigen._mass_local(mesh, DEFAULT_QUAD_ORDER)),
+    ):
+        got, block = full[free][:, free], mesh.scatter_free(local)
+        # the K and M that the r = 2 inverse iteration factors, bit for bit
+        np.testing.assert_array_equal(got.indptr, block.indptr)
+        np.testing.assert_array_equal(got.indices, block.indices)
+        np.testing.assert_array_equal(got.data, block.data)
 
 
 # ---------------------------------------------------------------------------

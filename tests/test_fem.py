@@ -6,11 +6,12 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpkit import fem
-from dpkit.eigen import first_eigenvalue, mass_matrix
+from dpkit.eigen import first_eigenvalue, mass_matrix, stiffness_matrix
 from dpkit.fem import (
     DEFAULT_QUAD_ORDER,
     MAX_QUAD_ORDER,
@@ -126,27 +127,30 @@ def test_scatter_free_matches_restricted_scatter(mesh):
     local = rng.random((mesh.num_elements, nv, nv))
     local = local + local.transpose(0, 2, 1)
     free = mesh.free_nodes
-    expected = mesh.scatter(local)[free][:, free].tocsr()
+    # the reference adds the local matrices one element after another
+    dense = np.zeros((mesh.num_nodes, mesh.num_nodes))
+    np.add.at(dense, (mesh.elements[:, :, None], mesh.elements[:, None, :]), local)
+    expected = sp.csr_matrix(dense[np.ix_(free, free)])  # positive sums: no entry drops
     got = mesh.scatter_free(local)
     assert got.shape == (free.size, free.size)
     assert got.has_canonical_format
-    np.testing.assert_array_equal(got.indptr, expected.indptr)
-    np.testing.assert_array_equal(got.indices, expected.indices)
-    # sums of positive entries agree to a few ulps in any order
-    np.testing.assert_allclose(got.data, expected.data, rtol=1e-14)
-    # entries (i, j) and (j, i) add the same values in the same element order
+    # every path sums each entry in element order, so all agree bit for bit
+    for other in (mesh.scatter(local)[free][:, free], expected):
+        np.testing.assert_array_equal(got.indptr, other.indptr)
+        np.testing.assert_array_equal(got.indices, other.indices)
+        np.testing.assert_array_equal(got.data, other.data)
     assert (got != got.T).nnz == 0
 
 
 def test_free_pattern_is_built_once_per_mesh(monkeypatch, dp_phase):
     builds = []
-    build = fem._free_pattern
+    build = fem._pattern
 
-    def counted(mesh):
-        builds.append(mesh)
-        return build(mesh)
+    def counted(mesh, nodes):
+        builds.append((mesh, "free_pattern" if nodes is mesh.free_nodes else "pattern"))
+        return build(mesh, nodes)
 
-    monkeypatch.setattr(fem, "_free_pattern", counted)
+    monkeypatch.setattr(fem, "_pattern", counted)
     mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 6, 6)
     assert builds == []  # lazy: not built with the mesh
     u = random_nodal(mesh, np.random.default_rng(2))
@@ -156,8 +160,11 @@ def test_free_pattern_is_built_once_per_mesh(monkeypatch, dp_phase):
     first.eliminate_zeros()  # an in-place edit of one result leaves the pattern intact
     again = assemble_jacobian(u, dp_phase)
     first_eigenvalue(mesh)
-    assert len(builds) == 1 and builds[0] is mesh
+    assert builds == [(mesh, "free_pattern")]  # one pattern for Jacobian and eigen
     assert again.nnz == nnz > 0
+    stiffness_matrix(mesh)
+    mass_matrix(mesh)
+    assert builds == [(mesh, "free_pattern"), (mesh, "pattern")]
 
 
 @pytest.mark.parametrize(

@@ -420,8 +420,14 @@ def test_newton_budget_exhaustion_raises(interval_mesh, dp_phase, monkeypatch):
 
 
 def test_rhs_vector_shape_check(interval_mesh, dp_phase):
-    with pytest.raises(ValueError):
-        solve_monotone(dp_phase, interval_mesh, np.ones(4))
+    u = DiscreteFunction(interval_mesh, np.zeros(interval_mesh.num_nodes), True)
+    for call in (
+        lambda rhs: solve_monotone(dp_phase, interval_mesh, rhs),
+        lambda rhs: residual_norm(u, dp_phase, rhs),
+        lambda rhs: weak_residual(u, rhs, dp_phase),
+    ):
+        with pytest.raises(ValueError, match="rhs must be a full-node load vector"):
+            call(np.ones(4))
 
 
 def test_weak_residual_small_at_solution(interval_mesh, dp_phase):
