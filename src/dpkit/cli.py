@@ -10,8 +10,9 @@ deterministic report.json; exit codes follow a fixed contract:
     3  a numeric method failed to converge
 
 Importing ``dpkit`` or this module loads no numpy, and heavy imports happen
-inside the command handlers, so ``--threads`` (or DPKIT_THREADS) caps the
-BLAS worker pool before numpy is loaded.
+inside the command handlers, so ``--threads`` caps the BLAS worker pool
+before numpy is loaded.  Without it, the standard OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS variables cap it as usual.
 """
 
 from __future__ import annotations
@@ -29,18 +30,10 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _apply_threads(threads: int | None) -> None:
-    source = "--threads"
     if threads is None:
-        env = os.environ.get("DPKIT_THREADS")
-        if env is None:
-            return
-        source = "DPKIT_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"DPKIT_THREADS must be an integer, got {env!r}") from None
+        return
     if threads < 1:
-        raise ValueError(f"{source} must be at least 1")
+        raise ValueError("--threads must be at least 1")
     for var in _THREAD_VARS:
         os.environ[var] = str(threads)
 

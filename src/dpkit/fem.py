@@ -40,13 +40,12 @@ class Quadrature:
     ``basis`` (nq, dim + 1) holds the P1 basis at the points.  All are read-only.
     """
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray, order: int):
+    def __init__(self, points: np.ndarray, weights: np.ndarray):
         self.points = np.array(points, dtype=float, ndmin=2)
         self.weights = np.array(weights, dtype=float)
         self.basis = reference_basis(self.points.shape[1], self.points)
         for a in (self.points, self.weights, self.basis):
             a.setflags(write=False)  # cached and shared
-        self.order = int(order)
 
 
 def _check_order(order: int) -> int:
@@ -64,7 +63,7 @@ def gauss_interval(order: int) -> Quadrature:
     order = _check_order(order)
     n = (order + 2) // 2  # n-point Gauss is exact to degree 2n - 1
     x, w = np.polynomial.legendre.leggauss(n)
-    return Quadrature((x[:, None] + 1.0) / 2.0, w / 2.0, order)
+    return Quadrature((x[:, None] + 1.0) / 2.0, w / 2.0)
 
 
 @functools.cache
@@ -85,7 +84,7 @@ def gauss_triangle(order: int) -> Quadrature:
     uu, vv = np.meshgrid(u, u, indexing="ij")
     ww = np.outer(wu, wu) * (1.0 - uu)
     pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
-    return Quadrature(pts, ww.ravel(), order)
+    return Quadrature(pts, ww.ravel())
 
 
 def reference_basis(dim: int, points: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ inadmissible phase's and non-finite samples included, are
 :class:`ConditionReport` entries with witness points, never exceptions.  All
 continuity moduli (Lipschitz / Hölder / log-Hölder constants) are empirical
 maxima over a budgeted pair set and therefore lower bounds of the true
-constants.
+constants.  The pair budgets are module constants: the mesh edges plus
+``PAIR_BUDGET`` random node pairs for each modulus, and ``A1_PAIR_BUDGET``
+random pairs for the (A1) characterization.
 """
 
 from __future__ import annotations
@@ -46,25 +48,26 @@ __all__ = [
     "sample_pairs",
 ]
 
+PAIR_BUDGET = 2000  # random node pairs of every Lipschitz / Hölder estimate
+A1_PAIR_BUDGET = 4000  # random node pairs of the (A1) characterization
+
 
 class ScalarField:
     """A scalar coefficient field evaluable at arbitrary points.
 
-    Construct through one of the classmethods; ``kind`` is one of
-    ``"constant"``, ``"affine"``, ``"table"`` or ``"callback"``.
+    ``fn`` maps an (n, dim) point array to n values; the classmethods build
+    constant, affine and tabulated fields.
     """
 
-    def __init__(self, fn, kind: str, params: dict | None = None):
+    def __init__(self, fn):
         self._fn = fn
-        self.kind = kind
-        self.params = params or {}
 
     @classmethod
     def constant(cls, value: float) -> "ScalarField":
         value = float(value)
         if not np.isfinite(value):
             raise ValueError("constant field value must be finite")
-        return cls(lambda pts: np.full(pts.shape[0], value), "constant", {"value": value})
+        return cls(lambda pts: np.full(pts.shape[0], value))
 
     @classmethod
     def affine(cls, slope, offset: float) -> "ScalarField":
@@ -77,7 +80,7 @@ class ScalarField:
         def fn(pts):
             return pts[:, : slope.size] @ slope + offset
 
-        return cls(fn, "affine", {"slope": slope, "offset": offset})
+        return cls(fn)
 
     @classmethod
     def from_table(cls, mesh: Mesh, values) -> "ScalarField":
@@ -113,11 +116,11 @@ class ScalarField:
                     raise ValueError("table field queried outside the tabulated domain")
                 return out
 
-        return cls(fn, "table", {"values": values})
+        return cls(fn)
 
     @classmethod
     def from_callable(cls, fn) -> "ScalarField":
-        return cls(lambda pts: np.asarray(fn(pts), dtype=float), "callback", {})
+        return cls(fn)
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -128,17 +131,6 @@ class ScalarField:
         if vals.shape != (pts.shape[0],):
             raise ValueError("field evaluation must return one value per point")
         return float(vals[0]) if single else vals
-
-    def describe(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.params["value"]}
-        if self.kind == "affine":
-            return {
-                "kind": "affine",
-                "a": list(self.params["slope"]),
-                "b": self.params["offset"],
-            }
-        return {"kind": self.kind}
 
 
 @dataclass
@@ -156,9 +148,10 @@ class DoublePhase:
     dim: int = 2
 
     def __post_init__(self):
-        self.dim = int(self.dim)
-        if self.dim < 1:
-            raise ValueError("ambient dimension must be a positive integer")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"ambient dimension must be a positive integer, got {dim!r}")
+        self.dim = int(dim)
 
     def at(self, points):
         """Sample (p, q, mu) at points; arrays share the points' leading shape."""
@@ -320,7 +313,7 @@ def critical_exponent_field(p: ScalarField, dim: int) -> ScalarField:
             )
         return _critical_exponent(vals, dim)
 
-    return ScalarField(fn, "callback", {"derived": "critical-exponent"})
+    return ScalarField(fn)
 
 
 def _extremum_check(name, margins, *, strict=True, floor=0.0, **witness) -> ConditionCheck:
@@ -389,13 +382,14 @@ def check_condition_Hprime(
     mesh: Mesh,
     order: int = DEFAULT_QUAD_ORDER,
     relaxed: bool = False,
-    pair_budget: int = 2000,
     seed: int = 0,
 ) -> ConditionReport:
     """Condition (H'): base plus q+/p- < 1 + 1/N and Lipschitz coefficients.
 
     With ``relaxed=True`` the ratio inequality is tested non-strictly,
     matching the density statement that only needs q+/p- <= 1 + 1/N.
+    The Lipschitz constants are :func:`estimate_holder` maxima over
+    ``PAIR_BUDGET`` random pairs.
     """
     _, p, q, _ = samples = _samples(phase, mesh, order)
     with np.errstate(divide="ignore", invalid="ignore"):  # p- = 0 fails with margin -inf
@@ -404,7 +398,7 @@ def check_condition_Hprime(
     checks = _base_checks(phase, mesh, order, *samples)
     checks.append(_extremum_check(name, [gap], strict=not relaxed))
     for label, fld in (("p", phase.p), ("q", phase.q), ("mu", phase.mu)):
-        c = estimate_holder(fld, mesh, 1.0, pair_budget=pair_budget, seed=seed)
+        c = estimate_holder(fld, mesh, 1.0, seed=seed)
         checks.append(_finite_check(f"lipschitz constant {label} (empirical)", c))
     return ConditionReport("Hprime-relaxed" if relaxed else "Hprime", checks)
 
@@ -413,13 +407,13 @@ def check_condition_Hpp(
     phase: DoublePhase,
     mesh: Mesh,
     order: int = DEFAULT_QUAD_ORDER,
-    pair_budget: int = 2000,
     seed: int = 0,
 ) -> ConditionReport:
     """Condition (H''): p, q >= 1 bounded and log-Hölder, p <= q, mu bounded.
 
-    The decay part of the log-Hölder condition concerns unbounded domains
-    and is not tested on (bounded) meshes.
+    The log-Hölder constants are :func:`estimate_log_holder` maxima over
+    ``PAIR_BUDGET`` random pairs.  The decay part of the log-Hölder condition
+    concerns unbounded domains and is not tested on (bounded) meshes.
     """
     pts, p, q, mu = _samples(phase, mesh, order)
     checks = [
@@ -432,14 +426,14 @@ def check_condition_Hpp(
         _finite_check("q bounded", q.max()),
     ]
     for label, fld in (("p", phase.p), ("q", phase.q)):
-        c = estimate_log_holder(fld, mesh, pair_budget=pair_budget, seed=seed)
+        c = estimate_log_holder(fld, mesh, seed=seed)
         checks.append(_finite_check(f"log-holder constant {label} (empirical)", c))
     return ConditionReport("Hpp", checks)
 
 
-def _pair_increments(field: ScalarField, mesh: Mesh, pair_budget, seed, below=np.inf):
+def _pair_increments(field: ScalarField, mesh: Mesh, seed, below=np.inf):
     """|x - y| and |f(x) - f(y)| over the sampled node pairs with 0 < |x - y| < below."""
-    i, j = sample_pairs(mesh, pair_budget, seed)
+    i, j = sample_pairs(mesh, PAIR_BUDGET, seed)
     xi, xj = mesh.nodes[i], mesh.nodes[j]
     dist = np.sqrt(np.sum((xi - xj) ** 2, axis=1))
     keep = (dist > 0.0) & (dist < below)
@@ -451,18 +445,18 @@ def estimate_holder(
     field: ScalarField,
     mesh: Mesh,
     alpha: float,
-    pair_budget: int = 2000,
     seed: int = 0,
 ) -> float:
     """Empirical alpha-Hölder constant: max over pairs of |f(x)-f(y)| / |x-y|^alpha.
 
-    A lower bound of the true constant (finite samples cannot certify an
-    upper bound).
+    The pairs are the mesh edges plus ``PAIR_BUDGET`` random node pairs.  A
+    lower bound of the true constant (finite samples cannot certify an upper
+    bound).
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    dist, diff = _pair_increments(field, mesh, pair_budget, seed)
+    dist, diff = _pair_increments(field, mesh, seed)
     if dist.size == 0:
         raise ValueError("need at least two distinct sample points")
     return float(np.max(diff / dist**alpha))
@@ -471,14 +465,14 @@ def estimate_holder(
 def estimate_log_holder(
     field: ScalarField,
     mesh: Mesh,
-    pair_budget: int = 2000,
     seed: int = 0,
 ) -> float:
     """Empirical local log-Hölder constant of a field.
 
-    Maximizes |f(x)-f(y)| * |log|x-y|| over sampled pairs with |x-y| < 1/2.
+    Maximizes |f(x)-f(y)| * |log|x-y|| over the pairs of
+    :func:`estimate_holder` with |x-y| < 1/2.
     """
-    dist, diff = _pair_increments(field, mesh, pair_budget, seed, below=0.5)
+    dist, diff = _pair_increments(field, mesh, seed, below=0.5)
     if dist.size == 0:
         raise ValueError("no sample pairs with |x-y| < 1/2; refine the mesh")
     return float(np.max(diff * np.abs(np.log(dist))))
@@ -489,14 +483,14 @@ def check_A1_sufficient(
     mesh: Mesh,
     alpha: float,
     order: int = DEFAULT_QUAD_ORDER,
-    pair_budget: int = 2000,
     seed: int = 0,
 ) -> ConditionReport:
     """Sufficient condition for (A1): ratio bound plus Hölder regularity.
 
     Checks q(x)/p(x) <= 1 + alpha/N at every sample and reports the empirical
-    alpha/q_- Hölder constant of q and alpha-Hölder constant of mu.  With
-    q_- <= 0 that exponent is undefined, and the q constant fails as nan.
+    alpha/q_- Hölder constant of q and alpha-Hölder constant of mu, each over
+    ``PAIR_BUDGET`` random pairs.  With q_- <= 0 that exponent is undefined,
+    and the q constant fails as nan.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -506,8 +500,8 @@ def check_A1_sufficient(
     if q.min() <= 0.0:  # the Hölder exponent alpha/q_- is undefined
         c_q = np.nan
     else:
-        c_q = estimate_holder(phase.q, mesh, min(1.0, alpha / q.min()), pair_budget, seed)
-    c_mu = estimate_holder(phase.mu, mesh, alpha, pair_budget, seed)
+        c_q = estimate_holder(phase.q, mesh, min(1.0, alpha / q.min()), seed)
+    c_mu = estimate_holder(phase.mu, mesh, alpha, seed)
     with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 fails with margin -inf
         ratio = q / p
     checks = [
@@ -521,12 +515,12 @@ def check_A1_sufficient(
 def check_A1_characterization(
     phase: DoublePhase,
     mesh: Mesh,
-    pair_budget: int = 4000,
     seed: int = 0,
 ):
     """Empirical feasibility constant for the (A1) characterization.
 
-    For sampled ordered pairs (x, y) with mu(y) > 0 or nan evaluates
+    For ordered pairs (x, y) from :func:`sample_pairs` with ``A1_PAIR_BUDGET``
+    random pairs, both orientations, with mu(y) > 0 or nan evaluates
 
         (|x-y|^(N (1/p(y) - 1/q(y))) + mu(x)^(1/q(x))) / mu(y)^(1/q(y))
 
@@ -537,9 +531,7 @@ def check_A1_characterization(
     beta, so beta_max is -inf there, with that pair as the witness.  A pair
     with a nan mu(y) has ratio nan, so a nan weight fails with margin nan.
     """
-    if pair_budget < 1:
-        raise ValueError("pair_budget must be >= 1")
-    i, j = sample_pairs(mesh, pair_budget, seed)
+    i, j = sample_pairs(mesh, A1_PAIR_BUDGET, seed)
     # both orientations: the inequality is not symmetric in (x, y)
     x = np.vstack([mesh.nodes[i], mesh.nodes[j]])
     y = np.vstack([mesh.nodes[j], mesh.nodes[i]])

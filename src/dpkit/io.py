@@ -131,15 +131,15 @@ def load_solution(path, mesh: Mesh) -> np.ndarray:
     return values
 
 
-def save_vtk(path, u: DiscreteFunction, name: str = "u") -> None:
-    """Write a legacy-ASCII VTK unstructured grid with one point scalar."""
+def save_vtk(path, u: DiscreteFunction) -> None:
+    """Write a legacy-ASCII VTK unstructured grid with one point scalar, ``u``."""
     mesh = u.mesh
     cell_type = 3 if mesh.dim == 1 else 5  # VTK_LINE / VTK_TRIANGLE
     nverts = mesh.dim + 1
     pad = [np.zeros(mesh.num_nodes)] * (3 - mesh.dim)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{name} on a {mesh.dim}d mesh\n")
+        fh.write(f"u on a {mesh.dim}d mesh\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.num_nodes} double\n")
         fh.write(_rows("%.17g %.17g %.17g\n", *mesh.nodes.T, *pad))
@@ -153,5 +153,5 @@ def save_vtk(path, u: DiscreteFunction, name: str = "u") -> None:
         fh.write(f"CELL_TYPES {mesh.num_elements}\n")
         fh.write(f"{cell_type}\n" * mesh.num_elements)
         fh.write(f"POINT_DATA {mesh.num_nodes}\n")
-        fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        fh.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
         fh.write(_rows("%.17g\n", u.values))

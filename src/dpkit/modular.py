@@ -27,6 +27,10 @@ terms are vectorized over the rows (row sums, stacked ``matmul`` dot
 products, ``power`` of each row's t), while each row's bracket and step are
 taken in Python floats, so a row's result does not depend on the block it is
 solved in.
+
+The inequality checks pass to fixed tolerances: ``NORM_MODULAR_TOL`` for
+:func:`check_norm_modular` and ``REVERSE_HOLDER_TOL`` for
+:func:`reverse_holder_check`.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ __all__ = [
 ]
 
 DEFAULT_NORM_TOL = 1e-12
+NORM_MODULAR_TOL = 1e-12  # pass tolerance of the scale-free sandwich slacks
+REVERSE_HOLDER_TOL = 1e-12  # pass tolerance of lhs - rhs in the reverse Hölder check
 
 # --------------------------------------------------------------------------
 # power-sum representation of quadrature modulars
@@ -390,7 +396,7 @@ class NormModularReport:
     single-exponent case the sandwich degenerates to an equality between
     quantities that grow like norm^p, and a raw difference would drown in
     rounding noise long before the relation itself failed.  ``passed``
-    applies a caller-supplied tolerance.
+    applies ``tol``, which is ``NORM_MODULAR_TOL``.
     """
 
     norm: float
@@ -409,7 +415,6 @@ def check_norm_modular(
     phase: DoublePhase,
     which: str = "value",
     order: int = DEFAULT_QUAD_ORDER,
-    tol: float = 1e-12,
     norm_tol: float = 1e-14,
 ) -> NormModularReport:
     """Verify the norm–modular sandwich and sign equivalences for one function.
@@ -417,14 +422,16 @@ def check_norm_modular(
     For ||u|| > 1:  ||u||^{p-} <= rho(u) <= ||u||^{q+};
     for ||u|| < 1 the exponents swap; at ||u|| = 1 the modular equals one.
     The exponent bounds are taken over the active quadrature samples, where
-    the discrete modular lives.
+    the discrete modular lives.  A slack passes down to ``-NORM_MODULAR_TOL``.
     """
     _check_variant(which)
     coefs, expos = _collect_terms(u, phase, order, which)
     lam = float(_luxemburg_roots(coefs[None], expos[None], norm_tol)[0][0])
     rho = float(coefs.sum())
     if lam == 0.0:
-        return NormModularReport(0.0, rho, "zero", [("modular zero", -abs(rho))], tol)
+        return NormModularReport(
+            0.0, rho, "zero", [("modular zero", -abs(rho))], NORM_MODULAR_TOL
+        )
     e_lo = float(expos.min())
     e_hi = float(expos.max())
     band = 10.0 * max(norm_tol, 1e-13)
@@ -446,7 +453,7 @@ def check_norm_modular(
         slacks.append(("rho >= norm^q+", rel(rho, lam**e_hi)))
         slacks.append(("rho <= norm^p-", rel(lam**e_lo, rho)))
         slacks.append(("sign: rho < 1 when norm < 1", rel(1.0, rho)))
-    return NormModularReport(lam, rho, regime, slacks, tol)
+    return NormModularReport(lam, rho, regime, slacks, NORM_MODULAR_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -531,7 +538,6 @@ def reverse_holder_check(
     g: DiscreteFunction,
     r,
     order: int = DEFAULT_QUAD_ORDER,
-    tol: float = 1e-12,
 ) -> ReverseHolderResult:
     """Reverse Hölder inequality for a variable exponent r with r- > 1.
 
@@ -539,7 +545,8 @@ def reverse_holder_check(
             >= 1/2 || |f|^{1/r(.)} ||_1 * min{ || |g|^{-1/(r-1)} ||_1^{(1-r+)/r-},
                                                || |g|^{-1/(r-1)} ||_1^{(1-r-)/r+} }
 
-    with exponent bounds and integrals taken over the quadrature samples.
+    with exponent bounds and integrals taken over the quadrature samples,
+    to the tolerance ``REVERSE_HOLDER_TOL``.
     """
     if g.mesh is not f.mesh:
         raise ValueError("f and g must live on the same mesh")
@@ -559,7 +566,7 @@ def reverse_holder_check(
     rhs = 0.5 * int_f * min(
         int_g ** ((1.0 - r_hi) / r_lo), int_g ** ((1.0 - r_lo) / r_hi)
     )
-    return ReverseHolderResult(lhs, rhs, tol)
+    return ReverseHolderResult(lhs, rhs, REVERSE_HOLDER_TOL)
 
 
 def truncate(u: DiscreteFunction, sign: int = 1) -> DiscreteFunction:

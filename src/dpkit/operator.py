@@ -19,6 +19,9 @@ element order: the Jacobian with :meth:`Mesh.scatter_free` straight into the
 free x free CSR block, through a pattern the mesh builds once, and the
 residual and load with :meth:`Mesh.scatter_vector`.  The local Jacobians are
 exactly symmetric, and so is the assembled matrix.
+
+:func:`boundedness_estimate` tries ``DUAL_DIRECTIONS`` random directions
+besides the hats and passes within ``DUAL_BOUND_TOL`` of its bound.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_EPS_REG = 1e-8
+DUAL_DIRECTIONS = 100  # random zero-trace directions of boundedness_estimate
+DUAL_BOUND_TOL = 1e-9  # its pass tolerance
 
 
 def _power0(s: np.ndarray, expo, shift: float = 0.0) -> np.ndarray:
@@ -306,17 +311,16 @@ def boundedness_estimate(
     u: DiscreteFunction,
     phase: DoublePhase,
     order: int = DEFAULT_QUAD_ORDER,
-    n_random: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> DualBoundResult:
     """Check ||A(u)||_* <= (q+/p-) max{||u||^{q+-1}, ||u||^{p--1}}.
 
     The dual norm is estimated from below by maximizing <A(u), v>/||v|| over
-    all free nodal hats plus ``n_random`` random zero-trace directions, with
-    ||.|| the gradient Luxemburg norm (the hats' norms are built from their
-    element patches once per mesh, phase, tolerance and order, and shared
-    with :func:`dpkit.solve.weak_residual`).
+    all free nodal hats plus ``DUAL_DIRECTIONS`` random zero-trace
+    directions, with ||.|| the gradient Luxemburg norm (the hats' norms are
+    built from their element patches once per mesh, phase, tolerance and
+    order, and shared with :func:`dpkit.solve.weak_residual`).  The check
+    passes within ``DUAL_BOUND_TOL`` of the bound.
     """
     mesh = u.mesh
     p_minus, _ = field_bounds(phase.p, mesh, order)
@@ -328,11 +332,11 @@ def boundedness_estimate(
     hat_norms = _hat_norms(mesh, phase, DEFAULT_NORM_TOL, order)
     empirical = float(np.max(np.abs(pairings) / hat_norms, initial=0.0))
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(DUAL_DIRECTIONS):
         vals = np.zeros(mesh.num_nodes)
         vals[mesh.free_nodes] = rng.standard_normal(mesh.free_nodes.size)
         v = DiscreteFunction(mesh, vals, zero_boundary=True)
         nv = luxemburg_norm(v, phase, "gradient", order=order)
         if nv > 0.0:
             empirical = max(empirical, abs(apply_operator(u, v, phase, order)) / nv)
-    return DualBoundResult(bound, empirical, norm_u, tol)
+    return DualBoundResult(bound, empirical, norm_u, DUAL_BOUND_TOL)

@@ -73,10 +73,8 @@ class PropertyResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def random_smooth_function(
-    mesh: Mesh, rng, modes: int = 3, zero_boundary: bool = True
-) -> DiscreteFunction:
-    """A random low-frequency function: sums of sine/cosine products.
+def random_smooth_function(mesh: Mesh, rng, zero_boundary: bool = True) -> DiscreteFunction:
+    """A random low-frequency function: a sum of three sine/cosine products.
 
     Low frequencies keep element gradients O(1) on coarse meshes, which is
     what the norm and modular routines are designed around.  Boundary values
@@ -86,7 +84,7 @@ def random_smooth_function(
     span = np.where(hi > lo, hi - lo, 1.0)
     t = (mesh.nodes - lo) / span
     vals = np.zeros(mesh.num_nodes)
-    for _ in range(modes):
+    for _ in range(3):
         amp = rng.uniform(-1.0, 1.0)
         freq = rng.integers(1, 4, size=mesh.dim)
         factor = np.ones(mesh.num_nodes)

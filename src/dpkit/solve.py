@@ -25,7 +25,9 @@ the Picard loop and a caller re-checking the residual at the returned iterate
 share one build.  Existence requires the coercivity margin of the declared
 growth constants to be positive; that margin is checked before any iteration
 runs.  :class:`SolverOptions` holds exactly the settings a run config sets;
-every other limit is a module constant.
+every other limit is a module constant, and so are the sample counts of the
+sampled checks: ``GROWTH_SAMPLES`` points in the box ``GROWTH_BOX`` for
+:func:`check_growth` and ``UNIQUENESS_SAMPLES`` for :func:`verify_uniqueness`.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ ARMIJO = 1e-4
 MAX_OUTER = 200
 WEAK_TOL = 1e-8
 MIN_THETA = 1.0 / 16.0
+
+# The sampled checks' budgets (see the module docstring).
+GROWTH_SAMPLES = 10_000
+GROWTH_BOX = 1e3
+UNIQUENESS_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -524,26 +531,21 @@ def check_growth(
     term: ConvectionTerm,
     phase: DoublePhase,
     mesh: Mesh,
-    n_samples: int = 10_000,
-    s_bound: float = 1e3,
-    xi_bound: float = 1e3,
     seed: int = 0,
     order: int = DEFAULT_QUAD_ORDER,
 ) -> ConditionReport:
     """Sample the declared growth inequalities over a box of (x, s, xi).
 
-    Points x are drawn from the quadrature samples, |s| <= s_bound and
-    |xi_k| <= xi_bound componentwise.  Failures carry the worst witness.
-    Also checks the admissibility requirement r(x) < p*(x).
+    ``GROWTH_SAMPLES`` points x are drawn from the quadrature samples, with
+    |s| <= GROWTH_BOX and |xi_k| <= GROWTH_BOX componentwise.  Failures carry
+    the worst witness.  Also checks the admissibility requirement r(x) < p*(x).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     pts, _, _ = mesh.quadrature_points(order)
     pool = pts.reshape(-1, mesh.dim)
-    x = pool[rng.integers(0, pool.shape[0], size=n_samples)]
-    s = rng.uniform(-s_bound, s_bound, size=n_samples)
-    xi = rng.uniform(-xi_bound, xi_bound, size=(n_samples, mesh.dim))
+    x = pool[rng.integers(0, pool.shape[0], size=GROWTH_SAMPLES)]
+    s = rng.uniform(-GROWTH_BOX, GROWTH_BOX, size=GROWTH_SAMPLES)
+    xi = rng.uniform(-GROWTH_BOX, GROWTH_BOX, size=(GROWTH_SAMPLES, mesh.dim))
     p, q, _ = phase.at(x)
     rv = term.r(x)
     f = term(x, s, xi)
@@ -593,22 +595,18 @@ def verify_uniqueness(
     term: ConvectionTerm,
     options: SolverOptions | None = None,
     match_tol: float = 1e-8,
-    n_starts: int = 3,
-    n_samples: int = 2000,
     seed: int = 0,
 ) -> UniquenessReport:
     """Verify the uniqueness regime by structure sampling and multi-start solves.
 
     Requires p identically 2 and declared (c1, c2, rho) with positive margin
     1 - c1/lambda - c2/sqrt(lambda) (PreconditionError otherwise).  Runs
-    ``n_starts`` (2 or 3) solves from independent initial guesses — zero-start
-    default, seeded random, scaled first eigenfunction — and reports the
-    largest pairwise gradient-norm disagreement, along with sampled checks of
-    the one-sided Lipschitz bound in s and linearity in xi.
+    three solves from independent initial guesses — zero-start default,
+    seeded random, scaled first eigenfunction — and reports the largest
+    pairwise gradient-norm disagreement, along with checks of the one-sided
+    Lipschitz bound in s and linearity in xi at ``UNIQUENESS_SAMPLES`` points.
     """
     opts = options or SolverOptions()
-    if not 2 <= n_starts <= 3:
-        raise ValueError(f"n_starts must be 2 or 3, got {n_starts!r}")
     p_lo, p_hi = field_bounds(phase.p, mesh, opts.order)
     if abs(p_lo - 2.0) > 1e-12 or abs(p_hi - 2.0) > 1e-12:
         raise ValueError("the uniqueness regime requires p identically equal to 2")
@@ -622,7 +620,7 @@ def verify_uniqueness(
             "is not positive; the contraction argument does not apply"
         )
 
-    structure = _sample_uniqueness_structure(term, mesh, n_samples, seed, opts.order)
+    structure = _sample_uniqueness_structure(term, mesh, seed, opts.order)
 
     rng = np.random.default_rng(seed)
     starts: list[DiscreteFunction | None] = [None]
@@ -632,7 +630,7 @@ def verify_uniqueness(
     starts.append(eig.eigenfunction * (1.0 / max(1.0, eig.value)))
     solutions = [
         solve_convection(phase, mesh, term, opts, initial=s, eigenvalue=eig.value).u
-        for s in starts[:n_starts]
+        for s in starts
     ]
     worst = 0.0
     for i in range(len(solutions)):
@@ -645,18 +643,18 @@ def verify_uniqueness(
 
 
 def _sample_uniqueness_structure(
-    term: ConvectionTerm, mesh: Mesh, n_samples: int, seed: int, order: int
+    term: ConvectionTerm, mesh: Mesh, seed: int, order: int
 ) -> ConditionReport:
     rng = np.random.default_rng(seed + 1)
     pts, _, _ = mesh.quadrature_points(order)
     pool = pts.reshape(-1, mesh.dim)
-    x = pool[rng.integers(0, pool.shape[0], size=n_samples)]
-    s = rng.uniform(-10.0, 10.0, size=n_samples)
-    t = rng.uniform(-10.0, 10.0, size=n_samples)
-    xi1 = rng.uniform(-10.0, 10.0, size=(n_samples, mesh.dim))
-    xi2 = rng.uniform(-10.0, 10.0, size=(n_samples, mesh.dim))
-    a = rng.uniform(-2.0, 2.0, size=n_samples)
-    b = rng.uniform(-2.0, 2.0, size=n_samples)
+    x = pool[rng.integers(0, pool.shape[0], size=UNIQUENESS_SAMPLES)]
+    s = rng.uniform(-10.0, 10.0, size=UNIQUENESS_SAMPLES)
+    t = rng.uniform(-10.0, 10.0, size=UNIQUENESS_SAMPLES)
+    xi1 = rng.uniform(-10.0, 10.0, size=(UNIQUENESS_SAMPLES, mesh.dim))
+    xi2 = rng.uniform(-10.0, 10.0, size=(UNIQUENESS_SAMPLES, mesh.dim))
+    a = rng.uniform(-2.0, 2.0, size=UNIQUENESS_SAMPLES)
+    b = rng.uniform(-2.0, 2.0, size=UNIQUENESS_SAMPLES)
     report = ConditionReport("uniqueness-structure")
 
     slack1 = term.c1 * (s - t) ** 2 - (term(x, s, xi1) - term(x, t, xi1)) * (s - t)

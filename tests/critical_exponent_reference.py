@@ -34,7 +34,7 @@ def critical_exponent_field(p: ScalarField, dim: int) -> ScalarField:
             )
         return dim * vals / (dim - vals)
 
-    return ScalarField(fn, "callback", {"derived": "critical-exponent"})
+    return ScalarField(fn)
 
 
 def condition_H(p: np.ndarray, N: int) -> np.ndarray:

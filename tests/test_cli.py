@@ -1,6 +1,7 @@
 """The command-line interface: exit codes, artifacts, determinism."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -598,6 +599,44 @@ def test_package_exports_each_name_from_its_module():
     assert dpkit.modular is importlib.import_module("dpkit.modular")
 
 
+def test_unset_settings_are_module_constants(monkeypatch):
+    """No caller set the removed parameters, members or environment variable;
+    each setting is now a module constant with the old default."""
+    from dpkit import fem, fields, io, modular, operator, properties
+
+    removed = {
+        fields.check_condition_Hprime: {"pair_budget"},
+        fields.check_condition_Hpp: {"pair_budget"},
+        fields.check_A1_sufficient: {"pair_budget"},
+        fields.check_A1_characterization: {"pair_budget"},
+        fields.estimate_holder: {"pair_budget"},
+        fields.estimate_log_holder: {"pair_budget"},
+        dpkit.solve.check_growth: {"n_samples", "s_bound", "xi_bound"},
+        dpkit.solve.verify_uniqueness: {"n_samples", "n_starts"},
+        operator.boundedness_estimate: {"n_random", "tol"},
+        modular.check_norm_modular: {"tol"},
+        modular.reverse_holder_check: {"tol"},
+        properties.random_smooth_function: {"modes"},
+        io.save_vtk: {"name"},
+        fem.Quadrature: {"order"},
+        fields.ScalarField: {"kind", "params"},
+    }
+    for fn, names in removed.items():
+        assert not names & set(inspect.signature(fn).parameters), fn.__name__
+    assert not hasattr(fem.gauss_interval(4), "order")
+    for member in ("kind", "params", "describe"):
+        assert not hasattr(fields.ScalarField.constant(2.0), member)
+    assert (fields.PAIR_BUDGET, fields.A1_PAIR_BUDGET) == (2000, 4000)
+    solve = dpkit.solve
+    assert (solve.GROWTH_SAMPLES, solve.GROWTH_BOX) == (10_000, 1e3)
+    assert solve.UNIQUENESS_SAMPLES == 2000
+    assert (operator.DUAL_DIRECTIONS, operator.DUAL_BOUND_TOL) == (100, 1e-9)
+    assert (modular.NORM_MODULAR_TOL, modular.REVERSE_HOLDER_TOL) == (1e-12, 1e-12)
+    # DPKIT_THREADS is not read: a count that --threads refuses changes nothing
+    monkeypatch.setenv("DPKIT_THREADS", "0")
+    assert main(["verify", "x.json", "--list"]) == 0
+
+
 def test_solve_output_dir_override(tmp_path):
     cfgpath = write_config(
         tmp_path, problem={"kind": "builtin", "name": "poisson-1d"},
@@ -714,40 +753,12 @@ def test_threads_flag_sets_environment(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "2"
 
 
-def test_threads_env_var_equivalent(tmp_path, monkeypatch):
-    monkeypatch.setenv("DPKIT_THREADS", "3")
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    cfgpath = write_config(tmp_path)
-    assert main(["validate", str(cfgpath), "--no-timestamp"]) == 0
-    import os
-
-    assert os.environ["MKL_NUM_THREADS"] == "3"
-
-
-def test_threads_rejects_garbage(monkeypatch, capsys):
-    monkeypatch.setenv("DPKIT_THREADS", "lots")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "whatever.json", "--list"])
-    assert exc.value.code == 2  # a usage error, not a failed check
-    assert "DPKIT_THREADS must be an integer" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_rejects_nonpositive_count(capsys, threads):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", threads, "verify", "whatever.json", "--list"])
     assert exc.value.code == 2
     assert "--threads must be at least 1" in capsys.readouterr().err
-
-
-def test_threads_env_count_is_rejected_under_its_own_name(monkeypatch, capsys):
-    monkeypatch.setenv("DPKIT_THREADS", "0")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "whatever.json", "--list"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "DPKIT_THREADS must be at least 1" in err
-    assert "--threads must" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Coefficient fields and the structural hypothesis checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,12 +84,6 @@ def test_field_bounds_cached_and_exact(interval_mesh):
     assert field_bounds(f, interval_mesh) == (lo, hi)  # the same bounds again
 
 
-def test_describe_roundtrips_kind():
-    assert ScalarField.constant(2.0).describe() == {"kind": "constant", "value": 2.0}
-    d = ScalarField.affine([1.0, 0.0], 3.0).describe()
-    assert d == {"kind": "affine", "a": [1.0, 0.0], "b": 3.0}
-
-
 # ---------------------------------------------------------------------------
 # DoublePhase
 
@@ -113,8 +109,12 @@ def test_phase_validate_rejects_bad_exponent(interval_mesh):
 
 
 def test_phase_rejects_nonpositive_dimension():
-    with pytest.raises(ValueError):
-        constant_phase(2.0, 3.0, 1.0, dim=0)
+    # N enters p* = Np/(N - p): a float or a bool is refused, never truncated
+    for dim in (0, 2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match=re.escape(f"positive integer, got {dim!r}")):
+            constant_phase(2.0, 3.0, 1.0, dim=dim)
+    dim = constant_phase(2.0, 3.0, 1.0, dim=np.int64(3)).dim
+    assert dim == 3 and type(dim) is int
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ builds: one per (mesh, field objects, tol, order).
 import numpy as np
 import pytest
 
+import dpkit.operator
 import dpkit.solve
 from dpkit.errors import NumericError
 from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh
@@ -98,11 +99,12 @@ def test_hat_norms_raise_on_modular_overflow():
 
 
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
-def test_boundedness_empirical_matches_full_mesh_loop(mesh_name):
+def test_boundedness_empirical_matches_full_mesh_loop(mesh_name, monkeypatch):
     mesh = MESHES[mesh_name]
     _, phase = standard_phase_configs(mesh.dim)[2]
     u = sine_bump(mesh, amplitude=1.5)
     n_random, seed = 7, 3
+    monkeypatch.setattr(dpkit.operator, "DUAL_DIRECTIONS", n_random)
     pairings = assemble_residual(u, phase, None, 4).residual
     empirical = 0.0
     for k, nv in enumerate(full_mesh_hat_norms(mesh, phase)):
@@ -116,7 +118,7 @@ def test_boundedness_empirical_matches_full_mesh_loop(mesh_name):
         nv = luxemburg_norm(v, phase, "gradient")
         if nv > 0.0:
             empirical = max(empirical, abs(apply_operator(u, v, phase)) / nv)
-    res = boundedness_estimate(u, phase, n_random=n_random, seed=seed)
+    res = boundedness_estimate(u, phase, seed=seed)
     assert res.empirical == empirical
 
 
@@ -167,11 +169,12 @@ def test_hat_norms_are_cached_per_tol_and_read_only(hat_norm_builds):
     assert _hat_norms(mesh, phase, DEFAULT_NORM_TOL, 4) is norms
 
 
-def test_boundedness_and_residual_share_one_build(hat_norm_builds):
+def test_boundedness_and_residual_share_one_build(hat_norm_builds, monkeypatch):
     mesh = build_interval_mesh(0.0, 1.0, 40)
     _, phase = standard_phase_configs(mesh.dim)[2]
     u = sine_bump(mesh)
-    boundedness_estimate(u, phase, n_random=2)
+    monkeypatch.setattr(dpkit.operator, "DUAL_DIRECTIONS", 2)
+    boundedness_estimate(u, phase)
     weak_residual(u, None, phase)
     assert hat_norm_builds == [(4, DEFAULT_NORM_TOL)]
 

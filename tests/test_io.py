@@ -98,9 +98,9 @@ def test_vtk_structure_2d(tmp_path, square_mesh):
 def test_vtk_structure_1d(tmp_path, interval_mesh):
     u = DiscreteFunction(interval_mesh, np.zeros(interval_mesh.num_nodes))
     path = tmp_path / "u.vtk"
-    save_vtk(path, u, name="temperature")
+    save_vtk(path, u)
     text = path.read_text()
-    assert "SCALARS temperature double 1" in text
+    assert "SCALARS u double 1" in text
     lines = text.splitlines()
     start = lines.index(f"CELL_TYPES {interval_mesh.num_elements}") + 1
     assert lines[start].strip() == "3"  # VTK line element

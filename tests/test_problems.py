@@ -75,7 +75,7 @@ def test_growth_example_self_consistent(p_minus, r, interval_mesh):
 
     phase = constant_phase(p_minus, p_minus + 1.0, 1.0, dim=5)
     term = growth_example_term(p_minus=p_minus, d1=0.3, d2=0.2, d3=0.5, r=r)
-    rep = check_growth(term, phase, interval_mesh, n_samples=4000, seed=3)
+    rep = check_growth(term, phase, interval_mesh, seed=3)
     for name in ("growth bound on |f|", "sign bound on f*s"):
         assert rep.check(name).passed, (name, rep.check(name).margin)
 
