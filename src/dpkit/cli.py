@@ -21,6 +21,8 @@ import argparse
 import os
 import sys
 
+from .errors import ConfigError, NumericError, PreconditionError
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
@@ -237,17 +239,12 @@ def cmd_solve(args) -> int:
     opts = cfg.solver_options()
     case, term, rhs = cfg.case, cfg.term, cfg.rhs
     if term is None and rhs is None:
-        from .errors import ConfigError
-
         raise ConfigError("config has no problem to solve (add 'problem')")
     phase = cfg.require_phase()
-    if term is not None:
-        rep = solve_convection(phase, cfg.mesh, term, opts)
-        recomputed = weak = weak_residual(rep.u, term, phase, opts.order, opts.norm_tol)
-    else:
-        rep = solve_monotone(phase, cfg.mesh, rhs, opts)
-        recomputed = residual_norm(rep.u, phase, rhs, opts.order)
-        weak = weak_residual(rep.u, rhs, phase, opts.order, opts.norm_tol)
+    solver, forcing = (solve_monotone, rhs) if term is None else (solve_convection, term)
+    rep = solver(phase, cfg.mesh, forcing, opts)
+    weak = weak_residual(rep.u, forcing, phase, opts.order, opts.norm_tol)
+    recomputed = residual_norm(rep.u, phase, rhs, opts.order) if term is None else weak
     data = {
         "command": "solve",
         "converged": rep.converged,
@@ -308,7 +305,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    from .errors import ConfigError
     from .problems import L2_RATE_WINDOW, manufactured_case
 
     cfg = _load(args)
@@ -358,8 +354,6 @@ def main(argv=None) -> int:
         _apply_threads(args.threads)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2, like any other usage error
-    from .errors import ConfigError, NumericError, PreconditionError
-
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -195,7 +195,7 @@ def _build_field(spec, mesh: Mesh, base_dir: Path, where: str) -> ScalarField:
         if kind == "expr":
             allowed = ("x", "y")[: mesh.dim]
             expr = parse_expression(str(_require(spec, "expr", where)), allowed)
-            return ScalarField.from_callable(lambda pts: expr(n=pts.shape[0], **_coords(pts)))
+            return ScalarField(lambda pts: expr(n=pts.shape[0], **_coords(pts)))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(

@@ -210,19 +210,22 @@ def _check_one_sign(u: DiscreteFunction) -> None:
 
 def coercivity_margin(b1: float, b2: float, lam: float) -> float:
     """1 - b1 - b2 / lam: positive iff the convection energy stays coercive."""
-    b1, b2, lam = float(b1), float(b2), float(lam)
-    if b1 < 0.0 or b2 < 0.0:
-        raise ValueError("growth constants b1, b2 must be nonnegative")
-    if lam <= 0.0:
-        raise ValueError("the eigenvalue must be positive")
+    b1, b2, lam = _margin_inputs(b1, b2, lam)
     return 1.0 - b1 - b2 / lam
 
 
 def uniqueness_margin(c1: float, c2: float, lam: float) -> float:
     """1 - c1/lam - c2/sqrt(lam): positive iff the p = 2 contraction closes."""
-    c1, c2, lam = float(c1), float(c2), float(lam)
-    if c1 < 0.0 or c2 < 0.0:
-        raise ValueError("constants c1, c2 must be nonnegative")
-    if lam <= 0.0:
-        raise ValueError("the eigenvalue must be positive")
+    c1, c2, lam = _margin_inputs(c1, c2, lam)
     return 1.0 - c1 / lam - c2 / np.sqrt(lam)
+
+
+def _margin_inputs(*args: float) -> list:
+    """Two constants and an eigenvalue lam as floats: ValueError unless both
+    constants are finite and >= 0 and 0 < lam < inf (nan fails every test)."""
+    *constants, lam = values = [float(v) for v in args]
+    if not all(0.0 <= c < np.inf for c in constants):
+        raise ValueError(f"margin constants must be finite and nonnegative, got {constants}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"the eigenvalue must be positive and finite, got {lam}")
+    return values

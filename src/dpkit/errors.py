@@ -5,6 +5,8 @@ Invalid arguments and violated mathematical domains raise the built-in
 to be distinguished from bad input.
 """
 
+__all__ = ["DpkitError", "NumericError", "PreconditionError", "ConfigError"]
+
 
 class DpkitError(Exception):
     """Base class for package-specific failures."""

@@ -4,7 +4,8 @@ Supports interval meshes and structured triangulations of axis-aligned
 rectangles.  Everything downstream (modulars, operator assembly, solvers)
 works through the small surface defined here: physical quadrature points
 with weights, per-element basis gradients, and piecewise-linear nodal
-functions with cached element gradients.
+functions with cached element gradients.  Every quadrature order is checked
+by one rule, ``_check_order``, before any cache lookup.
 
 Reference rules and their P1 basis are built once per (dimension, order).
 A mesh keeps everything else it builds on first use in one cache,
@@ -25,6 +26,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericError
+
+__all__ = [
+    "Quadrature", "Mesh", "DiscreteFunction", "build_interval_mesh", "build_rect_mesh",
+    "gauss_interval", "gauss_triangle", "integrate", "integrate_samples", "interpolate",
+    "DEFAULT_QUAD_ORDER", "MIN_QUAD_ORDER", "MAX_QUAD_ORDER",
+]  # fmt: skip
 
 MIN_QUAD_ORDER = 1
 MAX_QUAD_ORDER = 8
@@ -49,15 +56,16 @@ class Quadrature:
 
 
 def _check_order(order: int) -> int:
-    order = int(order)
-    if not MIN_QUAD_ORDER <= order <= MAX_QUAD_ORDER:
-        raise ValueError(
-            f"quadrature order must lie in [{MIN_QUAD_ORDER}, {MAX_QUAD_ORDER}], got {order}"
-        )
-    return order
+    """``order`` as an int: ValueError unless it is an int or numpy integer,
+    not a bool, in [MIN_QUAD_ORDER, MAX_QUAD_ORDER]."""
+    integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
+    if not (integer and MIN_QUAD_ORDER <= order <= MAX_QUAD_ORDER):
+        bounds = f"[{MIN_QUAD_ORDER}, {MAX_QUAD_ORDER}]"
+        raise ValueError(f"quadrature order must be an integer in {bounds}, got {order!r}")
+    return int(order)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # so True is checked, not served as 1
 def gauss_interval(order: int) -> Quadrature:
     """Gauss-Legendre rule on [0, 1], exact for polynomials of degree <= order."""
     order = _check_order(order)
@@ -66,7 +74,7 @@ def gauss_interval(order: int) -> Quadrature:
     return Quadrature((x[:, None] + 1.0) / 2.0, w / 2.0)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # so True is checked, not served as 1
 def gauss_triangle(order: int) -> Quadrature:
     """Tensor Gauss rule mapped to the reference triangle.
 
@@ -394,6 +402,7 @@ class DiscreteFunction:
 
     def values_at(self, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
         """Function values at the quadrature points, shape (nelems, nq)."""
+        order = _check_order(order)  # before the lookup, where True == 1
         if order not in self._qvals:
             basis = self.mesh.basis_at(order)
             self._qvals[order] = self.values[self.mesh.elements] @ basis.T

@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import DEFAULT_QUAD_ORDER, Mesh, _unique_pairs
+from .fem import DEFAULT_QUAD_ORDER, Mesh, _check_order, _unique_pairs
 
 __all__ = [
     "ScalarField",
     "DoublePhase",
+    "constant_phase",
     "ConditionCheck",
     "ConditionReport",
     "field_bounds",
@@ -118,10 +119,6 @@ class ScalarField:
 
         return cls(fn)
 
-    @classmethod
-    def from_callable(cls, fn) -> "ScalarField":
-        return cls(fn)
-
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -180,7 +177,7 @@ class DoublePhase:
             _check_admissible(*pqmu)
             return (*pqmu, w)
 
-        return mesh.cached(("phase", order), (self.p, self.q, self.mu), build)
+        return mesh.cached(("phase", _check_order(order)), (self.p, self.q, self.mu), build)
 
     def h_at(self, points, t):
         """The integrand H(x, t) = t^p(x) + mu(x) t^q(x) for t >= 0."""

@@ -85,13 +85,13 @@ def _convection_linear_case() -> ManufacturedCase:
         r=ScalarField.constant(2.0),
         a1=0.5,
         a2=0.0,
-        alpha=ScalarField.from_callable(lambda x: np.abs(rho_fn(x))),
+        alpha=ScalarField(lambda x: np.abs(rho_fn(x))),
         b1=0.25,
         b2=0.75,
-        omega=ScalarField.from_callable(lambda x: 0.5 * rho_fn(x) ** 2),
+        omega=ScalarField(lambda x: 0.5 * rho_fn(x) ** 2),
         c1=0.0,
         c2=0.5,
-        rho=ScalarField.from_callable(rho_fn),
+        rho=ScalarField(rho_fn),
     )
     return ManufacturedCase(
         name="convection-linear",
@@ -225,10 +225,8 @@ def growth_example_term(
         r=ScalarField.constant(r),
         a1=d2,
         a2=d1,
-        alpha=ScalarField.from_callable(lambda x: d3 * np.abs(gamma(x)) + d2),
+        alpha=ScalarField(lambda x: d3 * np.abs(gamma(x)) + d2),
         b1=b1,
         b2=b2,
-        omega=ScalarField.from_callable(
-            lambda x: omega_shift + c_delta * (d3 * np.abs(gamma(x))) ** p_conj
-        ),
+        omega=ScalarField(lambda x: omega_shift + c_delta * (d3 * np.abs(gamma(x))) ** p_conj),
     )

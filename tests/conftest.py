@@ -27,7 +27,7 @@ def crossing_phase():
     return DoublePhase(
         ScalarField.affine([0.4, 0.0], 1.8),
         ScalarField.affine([0.0, 0.4], 2.6),
-        ScalarField.from_callable(lambda pts: 0.2 + 0.8 * pts[:, 0] * pts[:, 1]),
+        ScalarField(lambda pts: 0.2 + 0.8 * pts[:, 0] * pts[:, 1]),
     )
 
 

@@ -595,6 +595,7 @@ def test_package_exports_each_name_from_its_module():
         home = importlib.import_module(f"dpkit.{module}")
         for name in names:
             assert getattr(dpkit, name) is getattr(home, name)
+            assert name in home.__all__, (module, name)
     # the submodule, never the function of the same name
     assert dpkit.modular is importlib.import_module("dpkit.modular")
 

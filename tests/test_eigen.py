@@ -246,3 +246,13 @@ def test_uniqueness_margin_formula():
     assert uniqueness_margin(1.0, 1.0, lam) == pytest.approx(1.0 - 0.25 - 0.5)
     with pytest.raises(ValueError):
         uniqueness_margin(0.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("margin", [coercivity_margin, uniqueness_margin])
+def test_margins_reject_non_finite_inputs(margin, bad):
+    with pytest.raises(ValueError, match="eigenvalue must be positive and finite"):
+        margin(0.1, 0.1, bad)
+    for constants in ((bad, 0.1), (0.1, bad)):
+        with pytest.raises(ValueError, match="margin constants must be finite and nonnegative"):
+            margin(*constants, 4.0)

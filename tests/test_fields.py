@@ -146,7 +146,7 @@ def test_critical_exponent_is_the_old_four_bit_for_bit(dim):
     assert new.tobytes() == critical_exponent_reference.growth(p, dim).tobytes()
     assert np.all(new[~below] == np.inf)
 
-    ident = ScalarField.from_callable(lambda pts: pts[:, 0])
+    ident = ScalarField(lambda pts: pts[:, 0])
     undefined = f"critical exponent undefined at [{float(dim)}]: p >= N = {dim}"
     for form in (critical_exponent_field, critical_exponent_reference.critical_exponent_field):
         assert form(ident, dim)(p[below][:, None]).tobytes() == new[below].tobytes()
@@ -410,7 +410,7 @@ def test_A1_characterization_negative_weight_admits_no_beta(interval_mesh):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_A1_characterization_nan_weight_admits_no_beta(interval_mesh):
-    mu = ScalarField.from_callable(lambda pts: np.full(len(pts), np.nan))
+    mu = ScalarField(lambda pts: np.full(len(pts), np.nan))
     phase = DoublePhase(ScalarField.constant(2.0), ScalarField.constant(3.0), mu, dim=3)
     beta_max, rep = check_A1_characterization(phase, interval_mesh)
     check = rep.check("feasible beta")

@@ -47,7 +47,7 @@ MESHES = {
 def phase_configs(dim):
     """The standard configurations plus a weight vanishing on part of the
     domain, so that hats carry different numbers of power-sum terms."""
-    half = ScalarField.from_callable(lambda x: np.maximum(x[:, 0] - 0.5, 0.0))
+    half = ScalarField(lambda x: np.maximum(x[:, 0] - 0.5, 0.0))
     mu_half = DoublePhase(ScalarField.constant(2.0), ScalarField.constant(3.0), half, 3)
     return standard_phase_configs(dim) + [("p2-q3-mu-half", mu_half)]
 

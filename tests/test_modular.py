@@ -244,7 +244,7 @@ def test_norm_modular_zero_regime(interval_mesh, dp_phase):
 
 def test_weighted_seminorm_vanishes_where_weight_does(interval_mesh):
     # mu supported on the left half, u supported on the right half
-    mu = ScalarField.from_callable(lambda pts: np.maximum(0.5 - pts[:, 0], 0.0))
+    mu = ScalarField(lambda pts: np.maximum(0.5 - pts[:, 0], 0.0))
     phase = constant_phase(2.0, 3.0, 0.0, dim=3)
     phase.mu = mu
     vals = np.maximum(interval_mesh.nodes[:, 0] - 0.5, 0.0)

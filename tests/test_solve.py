@@ -9,11 +9,17 @@ import scipy.sparse.linalg as sparse_linalg
 import dpkit.solve
 from dpkit.config import parse_config
 from dpkit.errors import NumericError, PreconditionError
-from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh, interpolate
+from dpkit.fem import (
+    DEFAULT_QUAD_ORDER,
+    DiscreteFunction,
+    build_interval_mesh,
+    build_rect_mesh,
+    interpolate,
+)
 from dpkit.fields import ScalarField, constant_phase
 from dpkit.modular import luxemburg_norm
 from dpkit.problems import growth_example_term, manufactured_case
-from dpkit.operator import assemble_jacobian
+from dpkit.operator import assemble_jacobian, assemble_load, assemble_residual
 from dpkit.solve import (
     PCG_MAX_ITER,
     PCG_MIN_FACTOR_NNZ,
@@ -32,7 +38,7 @@ from dpkit.solve import (
 )
 
 import replay
-from conftest import random_nodal
+from conftest import random_nodal, sine_bump
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +436,71 @@ def test_rhs_vector_shape_check(interval_mesh, dp_phase):
             call(np.ones(4))
 
 
+def test_non_finite_load_vector_names_its_node(interval_mesh, dp_phase):
+    u = DiscreteFunction(interval_mesh, np.zeros(interval_mesh.num_nodes), True)
+    load = np.ones(interval_mesh.num_nodes)
+    load[[5, 9]] = np.nan
+    for call in (
+        lambda: solve_monotone(dp_phase, interval_mesh, load),
+        lambda: residual_norm(u, dp_phase, load),
+        lambda: weak_residual(u, load, dp_phase),
+    ):
+        with pytest.raises(ValueError, match="rhs load vector is not finite at node 5"):
+            call()
+
+
+def test_residual_norm_freezes_a_convection_term():
+    case = manufactured_case("convection-linear")
+    mesh = case.build_mesh(16)
+    u = random_nodal(mesh, np.random.default_rng(3))
+    pts, w, _ = mesh.quadrature_points(DEFAULT_QUAD_ORDER)
+    xi = np.repeat(u.gradients, w.shape[1], axis=0)
+    frozen = case.term(pts.reshape(-1, 1), u.values_at().reshape(-1), xi).reshape(w.shape)
+    expected = assemble_residual(u, case.phase, assemble_load(mesh, frozen))
+    assert residual_norm(u, case.phase, case.term) == expected.residual_norm
+
+
+@pytest.mark.parametrize("n", [16, 8])  # the same node count, and another
+def test_start_on_another_mesh_raises(n):
+    case = manufactured_case("dp-1d")
+    mesh = build_interval_mesh(0.0, 1.0, 16)
+    other = build_interval_mesh(0.0, 2.0, n)
+    start = random_nodal(other, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="initial iterate must live on the mesh"):
+        solve_monotone(case.phase, mesh, lambda x: np.ones(x.shape[0]), initial=start)
+    with pytest.raises(ValueError, match="initial iterate must live on the mesh"):
+        solve_convection(case.phase, mesh, case.term, initial=start, eigenvalue=np.pi**2)
+
+
+@pytest.mark.parametrize("order", [2.9, True, 0, 9])
+def test_quadrature_order_must_be_an_integer_in_range(interval_mesh, dp_phase, order):
+    u = sine_bump(interval_mesh)
+    luxemburg_norm(u, dp_phase, order=1)  # a cached order-1 slot is not reused for True
+    for call in (
+        lambda: luxemburg_norm(u, dp_phase, order=order),
+        lambda: interval_mesh.quadrature_points(order),
+        lambda: u.values_at(order),
+        lambda: SolverOptions(order=order),
+    ):
+        with pytest.raises(ValueError, match="quadrature order must be an integer in"):
+            call()
+
+
+def test_numpy_integer_order_is_the_int_order(square_mesh, crossing_phase):
+    u = sine_bump(square_mesh)
+    rhs = lambda x: np.ones(x.shape[0])
+    results = []
+    for order in (4, np.int64(4)):
+        opts = SolverOptions(order=order)
+        pts, w, _ = square_mesh.quadrature_points(order)
+        results.append((
+            pts, w, luxemburg_norm(u, crossing_phase, order=order),
+            solve_monotone(crossing_phase, square_mesh, rhs, opts).u.values,
+        ))
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+
+
 def test_weak_residual_small_at_solution(interval_mesh, dp_phase):
     rhs = lambda pts: np.ones(pts.shape[0])
     rep = solve_monotone(dp_phase, interval_mesh, rhs)
@@ -502,17 +573,19 @@ def test_convection_reports_the_work_of_its_inner_solves(monkeypatch):
 
 def test_picard_builds_each_frozen_load_once(monkeypatch):
     loads, residuals = [], []
-    term_load, weak = dpkit.solve._term_load, dpkit.solve.weak_residual
+    load, weak = dpkit.solve._load, dpkit.solve.weak_residual
 
-    def counting_load(*args, **kwargs):
-        loads.append(term_load(*args, **kwargs))
+    def counting_load(u, rhs, order):
+        if not isinstance(rhs, ConvectionTerm):
+            return load(u, rhs, order)
+        loads.append(load(u, rhs, order))
         return loads[-1]
 
     def counting_weak(u, term, *args, **kwargs):
         residuals.append(term)
         return weak(u, term, *args, **kwargs)
 
-    monkeypatch.setattr(dpkit.solve, "_term_load", counting_load)
+    monkeypatch.setattr(dpkit.solve, "_load", counting_load)
     monkeypatch.setattr(dpkit.solve, "weak_residual", counting_weak)
     cfg = parse_config(CONVECTION_2D)
     rep = solve_convection(cfg.phase, cfg.mesh, cfg.term)
@@ -538,6 +611,20 @@ def test_convection_requires_positive_margin(interval_mesh):
     )
     with pytest.raises(PreconditionError):
         solve_convection(phase, interval_mesh, bad)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_non_finite_eigenvalue_is_rejected(interval_mesh, monkeypatch, lam):
+    case = manufactured_case("convection-linear")
+    with pytest.raises(ValueError, match="eigenvalue must be positive and finite"):
+        solve_convection(case.phase, interval_mesh, case.term, eigenvalue=lam)
+    monkeypatch.setattr(
+        dpkit.solve, "first_eigenvalue", lambda *a, **k: types.SimpleNamespace(value=lam)
+    )
+    with pytest.raises(ValueError, match="eigenvalue must be positive and finite"):
+        solve_convection(case.phase, interval_mesh, case.term)
+    with pytest.raises(ValueError, match="eigenvalue must be positive and finite"):
+        verify_uniqueness(case.phase, interval_mesh, case.term)
 
 
 def test_convection_numeric_failure_on_noncontractive_term(interval_mesh):
