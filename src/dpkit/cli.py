@@ -322,15 +322,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--meshes must be comma-separated integers, got {args.meshes!r}")
     if len(sizes) < 2 or any(n < 1 for n in sizes):
         raise ConfigError("--meshes needs at least two positive cell counts")
-    opts = cfg.solver_options()
-    errors = []
-    for n in sizes:
-        mesh = case.build_mesh(n)
-        rep = case.solve(mesh, opts)
-        errors.append(case.l2_error(rep.u, cfg.order))
-    ratios = [a / b for a, b in zip(errors, errors[1:])]
-    lo, hi = L2_RATE_WINDOW
-    passed = all(lo <= r <= hi for r in ratios)
+    errors, ratios, passed = case.convergence(sizes, cfg.solver_options())
     data = {
         "command": "convergence",
         "case": case.name,

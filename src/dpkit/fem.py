@@ -4,11 +4,14 @@ Supports interval meshes and structured triangulations of axis-aligned
 rectangles.  Everything downstream (modulars, operator assembly, solvers)
 works through the small surface defined here: physical quadrature points
 with weights, per-element basis gradients, and piecewise-linear nodal
-functions with cached element gradients.  Every quadrature order is checked
+functions with their element gradients.  Every quadrature order is checked
 by one rule, ``_check_order``, before any cache lookup.
 
-Reference rules and their P1 basis are built once per (dimension, order).
-A mesh keeps everything else it builds on first use in one cache,
+Reference rules and their P1 basis are built once per (dimension, order)
+(``functools.lru_cache`` on ``gauss_interval`` and ``gauss_triangle``).  The
+mesh is the only object that keeps derived arrays: a function's values at
+the quadrature points are recomputed on every ``values_at`` call.  A mesh
+keeps everything it builds on first use in one cache,
 :meth:`Mesh.cached`, with one value per slot and every array read-only, so
 an in-place edit raises: quadrature points and weights per order, the
 Gram block ``Mesh.gram``, the CSR patterns of ``Mesh.scatter`` (slot
@@ -378,7 +381,8 @@ def build_rect_mesh(xspan, yspan, nx: int, ny: int) -> Mesh:
 class DiscreteFunction:
     """A P1 function given by nodal values on a mesh.
 
-    Element gradients (constant per element) are computed eagerly and cached.
+    Element gradients (constant per element) are computed once, on
+    construction; values at quadrature points are recomputed on each call.
     ``zero_boundary`` marks membership in the zero-trace subspace; the flag
     requires the boundary values to vanish exactly.
     """
@@ -398,15 +402,11 @@ class DiscreteFunction:
         self.gradients = np.einsum(
             "ev,evd->ed", self.values[mesh.elements], mesh.basis_gradients
         )
-        self._qvals: dict[int, np.ndarray] = {}
 
     def values_at(self, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
-        """Function values at the quadrature points, shape (nelems, nq)."""
-        order = _check_order(order)  # before the lookup, where True == 1
-        if order not in self._qvals:
-            basis = self.mesh.basis_at(order)
-            self._qvals[order] = self.values[self.mesh.elements] @ basis.T
-        return self._qvals[order]
+        """Function values at the quadrature points, shape (nelems, nq), recomputed
+        on every call: the mesh is the only object that keeps derived arrays."""
+        return self.values[self.mesh.elements] @ self.mesh.basis_at(order).T
 
     def gradient_norms(self) -> np.ndarray:
         """Euclidean norm of the element gradients, shape (nelems,)."""

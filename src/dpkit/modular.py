@@ -67,6 +67,9 @@ __all__ = [
 
 DEFAULT_NORM_TOL = 1e-12
 NORM_MODULAR_TOL = 1e-12  # pass tolerance of the scale-free sandwich slacks
+NORM_ROOT_TOL = 1e-14  # root tolerance of the norm in check_norm_modular
+UNIT_NORM_BAND = 1e-12  # |norm - 1| at or below which a norm counts as one
+SOBOLEV_QUAD_TOL = 1e-10  # absolute and relative tolerance of the conjugate's quadrature
 REVERSE_HOLDER_TOL = 1e-12  # pass tolerance of lhs - rhs in the reverse Hölder check
 
 # --------------------------------------------------------------------------
@@ -415,7 +418,6 @@ def check_norm_modular(
     phase: DoublePhase,
     which: str = "value",
     order: int = DEFAULT_QUAD_ORDER,
-    norm_tol: float = 1e-14,
 ) -> NormModularReport:
     """Verify the norm–modular sandwich and sign equivalences for one function.
 
@@ -426,7 +428,7 @@ def check_norm_modular(
     """
     _check_variant(which)
     coefs, expos = _collect_terms(u, phase, order, which)
-    lam = float(_luxemburg_roots(coefs[None], expos[None], norm_tol)[0][0])
+    lam = float(_luxemburg_roots(coefs[None], expos[None], NORM_ROOT_TOL)[0][0])
     rho = float(coefs.sum())
     if lam == 0.0:
         return NormModularReport(
@@ -434,15 +436,14 @@ def check_norm_modular(
         )
     e_lo = float(expos.min())
     e_hi = float(expos.max())
-    band = 10.0 * max(norm_tol, 1e-13)
 
     def rel(hi_side: float, lo_side: float) -> float:
         return (hi_side - lo_side) / max(1.0, abs(hi_side), abs(lo_side))
 
     slacks = []
-    if abs(lam - 1.0) <= band:
+    if abs(lam - 1.0) <= UNIT_NORM_BAND:
         regime = "unit"
-        slacks.append(("modular equals one at unit norm", band * e_hi - abs(rho - 1.0)))
+        slacks.append(("modular equals one at unit norm", UNIT_NORM_BAND * e_hi - abs(rho - 1.0)))
     elif lam > 1.0:
         regime = "above-one"
         slacks.append(("rho >= norm^p-", rel(rho, lam**e_lo)))
@@ -460,9 +461,7 @@ def check_norm_modular(
 # Sobolev conjugate
 
 
-def sobolev_conjugate_inverse(
-    phase: DoublePhase, x, s: float, tol: float = 1e-10
-) -> float:
+def sobolev_conjugate_inverse(phase: DoublePhase, x, s: float) -> float:
     """Inverse of the Sobolev conjugate of H at a point x, evaluated at s.
 
     Computes  int_0^s  H1^{-1}(x, tau) / tau^{(N+1)/N}  d tau  where H1
@@ -502,13 +501,13 @@ def sobolev_conjugate_inverse(
             lambda tau: h_inverse(tau) / tau ** ((N + 1.0) / N),
             h1,
             s,
-            epsabs=tol,
-            epsrel=tol,
+            epsabs=SOBOLEV_QUAD_TOL,
+            epsrel=SOBOLEV_QUAD_TOL,
             limit=200,
         )
-        if abserr > 10.0 * tol * max(1.0, abs(val)):
+        if abserr > 10.0 * SOBOLEV_QUAD_TOL * max(1.0, abs(val)):
             raise NumericError(
-                f"Sobolev-conjugate quadrature error {abserr} exceeds tolerance {tol}"
+                f"Sobolev-conjugate quadrature error {abserr} exceeds tolerance {SOBOLEV_QUAD_TOL}"
             )
         result += val
     return float(result)

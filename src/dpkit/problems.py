@@ -5,6 +5,9 @@ full convection term with declared growth constants), and, when available, the
 closed-form solution used for convergence measurements.  The exponent triples
 carry ambient dimension 3 so that p = 2 sits strictly below the critical
 exponent even though the meshes are 1- or 2-dimensional.
+
+:meth:`ManufacturedCase.convergence` is the one L2 convergence study: the
+``convergence`` command and the verify catalogue both call it.
 """
 
 from __future__ import annotations
@@ -63,6 +66,16 @@ class ManufacturedCase:
         _, w, _ = u.mesh.quadrature_points(order)
         diff = u.values_at(order) - u.mesh.sample(self.exact, order)
         return float(np.sqrt(np.sum(w * diff**2)))
+
+    def convergence(self, sizes, options: SolverOptions | None = None):
+        """``(errors, ratios, passed)``: the L2 errors at ``options.order`` of the
+        solves on ``build_mesh(n)`` for n in ``sizes``, the ratios of consecutive
+        errors, and whether every ratio lies in ``L2_RATE_WINDOW``."""
+        order = DEFAULT_QUAD_ORDER if options is None else options.order
+        errors = [self.l2_error(self.solve(self.build_mesh(n), options).u, order) for n in sizes]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        lo, hi = L2_RATE_WINDOW
+        return errors, ratios, all(lo <= r <= hi for r in ratios)
 
 
 def _sin1(x: np.ndarray) -> np.ndarray:

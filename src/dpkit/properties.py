@@ -50,7 +50,7 @@ from .operator import (
     gradient_check,
     monotonicity_probe,
 )
-from .problems import L2_RATE_WINDOW, manufactured_case
+from .problems import manufactured_case
 from .solve import SolverOptions, solve_monotone, verify_uniqueness
 
 __all__ = [
@@ -505,14 +505,7 @@ def _prop_zero_boundary(seed: int):
 
 
 def _prop_poisson_rate(seed: int):
-    case = manufactured_case("poisson-1d")
-    errs = []
-    for n in (16, 32, 64):
-        mesh = case.build_mesh(n)
-        errs.append(case.l2_error(case.solve(mesh).u))
-    ratios = [a / b for a, b in zip(errs, errs[1:])]
-    lo, hi = L2_RATE_WINDOW
-    ok = all(lo <= r <= hi for r in ratios)
+    _, ratios, ok = manufactured_case("poisson-1d").convergence((16, 32, 64))
     return ok, "L2 ratios " + ", ".join(f"{r:.3f}" for r in ratios)
 
 

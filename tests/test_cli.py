@@ -112,6 +112,14 @@ def test_norm_node_mismatch_exits_two(tmp_path):
     assert main(["norm", str(cfgpath), "--input", str(fn)]) == 2
 
 
+def test_norm_missing_input_exits_two(tmp_path, capsys):
+    cfgpath = write_config(tmp_path)
+    missing = tmp_path / "missing.csv"
+    assert main(["norm", str(cfgpath), "--input", str(missing), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing file:") and "missing.csv" in err
+
+
 def test_norm_one_column_input_exits_two(tmp_path, capsys):
     # node_index alone: no row holds a value to read
     cfgpath = write_config(tmp_path)
@@ -615,7 +623,8 @@ def test_unset_settings_are_module_constants(monkeypatch):
         dpkit.solve.check_growth: {"n_samples", "s_bound", "xi_bound"},
         dpkit.solve.verify_uniqueness: {"n_samples", "n_starts"},
         operator.boundedness_estimate: {"n_random", "tol"},
-        modular.check_norm_modular: {"tol"},
+        modular.check_norm_modular: {"tol", "norm_tol"},
+        modular.sobolev_conjugate_inverse: {"tol"},
         modular.reverse_holder_check: {"tol"},
         properties.random_smooth_function: {"modes"},
         io.save_vtk: {"name"},
@@ -633,6 +642,8 @@ def test_unset_settings_are_module_constants(monkeypatch):
     assert solve.UNIQUENESS_SAMPLES == 2000
     assert (operator.DUAL_DIRECTIONS, operator.DUAL_BOUND_TOL) == (100, 1e-9)
     assert (modular.NORM_MODULAR_TOL, modular.REVERSE_HOLDER_TOL) == (1e-12, 1e-12)
+    assert (modular.NORM_ROOT_TOL, modular.UNIT_NORM_BAND) == (1e-14, 1e-12)
+    assert modular.SOBOLEV_QUAD_TOL == 1e-10
     # DPKIT_THREADS is not read: a count that --threads refuses changes nothing
     monkeypatch.setenv("DPKIT_THREADS", "0")
     assert main(["verify", "x.json", "--list"]) == 0
@@ -689,6 +700,14 @@ def test_verify_deterministic_bytes(tmp_path):
     assert (tmp_path / "out" / "report.json").read_bytes() == first
 
 
+def test_verify_unknown_property_exits_two(tmp_path, capsys):
+    cfgpath = write_config(tmp_path)
+    assert main(["verify", str(cfgpath), "--names", "no-such-property"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: unknown properties: no-such-property;")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_verify_seed_override_changes_details(tmp_path):
     cfgpath = write_config(tmp_path)
     base = ["verify", str(cfgpath), "--names", "modular-unit-ball", "--no-timestamp"]
@@ -714,6 +733,12 @@ def test_convergence_poisson_1d(tmp_path):
     rep = read_report(tmp_path)
     assert len(rep["l2_errors"]) == 3
     assert all(3.5 <= r <= 4.5 for r in rep["ratios"])
+
+
+def test_convergence_without_a_case_exits_two(tmp_path, capsys):
+    cfgpath = write_config(tmp_path)
+    assert main(["convergence", str(cfgpath), "--meshes", "8,16"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: no case given")
 
 
 def test_convergence_requires_exact_solution(tmp_path):

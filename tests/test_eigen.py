@@ -227,6 +227,13 @@ def test_eigen_budget_exhaustion_raises(monkeypatch):
         first_eigenvalue(mesh, r=2.0, tol=1e-16)
 
 
+def test_nonlinear_eigen_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(dpkit.eigen, "MAX_EIGEN_ITER", 1)
+    message = r"eigen iteration for r=3\.0 did not stagnate within 1 iterations"
+    with pytest.raises(NumericError, match=message):
+        first_eigenvalue(build_interval_mesh(0.0, 1.0, 64), r=3.0)
+
+
 # ---------------------------------------------------------------------------
 # margins
 

@@ -27,6 +27,7 @@ from dpkit.fem import (
     reference_basis,
 )
 from dpkit.fields import DoublePhase, ScalarField, field_bounds
+from dpkit.modular import luxemburg_norm
 from dpkit.operator import assemble_jacobian, assemble_load
 from dpkit.solve import weak_residual
 
@@ -440,3 +441,12 @@ def test_values_at_consistent_with_basis(square_mesh):
     basis = square_mesh.basis_at(2)
     expected = np.einsum("qv,ev->eq", basis, u.values[square_mesh.elements])
     np.testing.assert_allclose(u.values_at(2), expected, atol=0.0)
+
+
+def test_writing_into_values_at_changes_nothing_else(interval_mesh, dp_phase):
+    u = sine_bump(interval_mesh)
+    before = luxemburg_norm(u, dp_phase, "value")
+    first = u.values_at(4)
+    first[:] = 0.0
+    assert u.values_at(4) is not first
+    assert luxemburg_norm(u, dp_phase, "value") == before > 0.0

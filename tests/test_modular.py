@@ -133,8 +133,6 @@ def test_luxemburg_rejects_bad_tolerance(interval_mesh, dp_phase):
             luxemburg_report(u, dp_phase, "value", tol=tol)
         with pytest.raises(ValueError, match="tol must be positive"):
             weighted_seminorm(u, dp_phase, tol=tol)
-        with pytest.raises(ValueError, match="tol must be positive"):
-            check_norm_modular(u, dp_phase, "value", norm_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +234,14 @@ def test_norm_modular_zero_regime(interval_mesh, dp_phase):
     u = DiscreteFunction(interval_mesh, np.zeros(interval_mesh.num_nodes))
     rep = check_norm_modular(u, dp_phase, "value")
     assert rep.regime == "zero" and rep.passed
+
+
+def test_norm_modular_unit_regime(interval_mesh, dp_phase):
+    u = sine_bump(interval_mesh)
+    for which in ("value", "gradient", "sobolev"):
+        v = u * (1.0 / luxemburg_norm(u, dp_phase, which))
+        rep = check_norm_modular(v, dp_phase, which)
+        assert rep.regime == "unit" and rep.passed, (which, rep.norm, rep.slacks)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,15 @@ def test_l2_error_requires_exact_solution():
         case.l2_error(rep.u)
 
 
+def test_convergence_is_the_separate_solves_and_errors():
+    case = manufactured_case("poisson-1d")
+    errors, ratios, passed = case.convergence((16, 32, 64))
+    expected = [case.l2_error(case.solve(case.build_mesh(n)).u) for n in (16, 32, 64)]
+    assert errors == expected
+    assert ratios == [errors[0] / errors[1], errors[1] / errors[2]]
+    assert passed is True
+
+
 def test_exact_solutions_satisfy_boundary_conditions():
     for name in ("poisson-1d", "poisson-2d", "convection-linear"):
         case = manufactured_case(name)

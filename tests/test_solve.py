@@ -425,6 +425,13 @@ def test_newton_budget_exhaustion_raises(interval_mesh, dp_phase, monkeypatch):
         solve_monotone(dp_phase, interval_mesh, rhs, SolverOptions(newton_tol=1e-14))
 
 
+def test_picard_budget_exhaustion_raises(monkeypatch):
+    case = manufactured_case("convection-linear")
+    monkeypatch.setattr(dpkit.solve, "MAX_OUTER", 1)
+    with pytest.raises(NumericError, match="Picard iteration did not converge in 1 outer steps"):
+        solve_convection(case.phase, case.build_mesh(32), case.term)
+
+
 def test_rhs_vector_shape_check(interval_mesh, dp_phase):
     u = DiscreteFunction(interval_mesh, np.zeros(interval_mesh.num_nodes), True)
     for call in (
