@@ -212,6 +212,7 @@ class Mesh:
         return self.cached("prolongators", (), lambda: _grid_prolongators(self.grid))
 
     def reference_rule(self, order: int = DEFAULT_QUAD_ORDER) -> Quadrature:
+        order = _check_order(order)  # an int, so a numpy integer shares its entry
         return gauss_interval(order) if self.dim == 1 else gauss_triangle(order)
 
     def quadrature_points(self, order: int = DEFAULT_QUAD_ORDER):

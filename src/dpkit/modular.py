@@ -26,7 +26,10 @@ blocks of hats, once per mesh, phase, tolerance and order.  The sums over
 terms are vectorized over the rows (row sums, stacked ``matmul`` dot
 products, ``power`` of each row's t), while each row's bracket and step are
 taken in Python floats, so a row's result does not depend on the block it is
-solved in.
+solved in.  The check that rho(t_hi) >= 1 at the bracket top shares its power
+with the first Newton step, which starts there.  rho grows along rays, so
+||u|| <= tau exactly when rho(u / tau) <= 1: a yes/no question about a norm,
+such as the Picard stop, needs one modular sum and no root.
 
 The inequality checks pass to fixed tolerances: ``NORM_MODULAR_TOL`` for
 :func:`check_norm_modular` and ``REVERSE_HOLDER_TOL`` for
@@ -173,33 +176,29 @@ def _luxemburg_roots(
         t_lo.append(1.0 / b * (1.0 - 1e-12))
         t_hi.append(1.0 / a * (1.0 + 1e-12))
 
-    def rho(rows: list, t: list) -> list:
-        out = [m1[i] for i in rows]  # at t = 1 the plain sum
-        other = [k for k, i in enumerate(rows) if t[i] != 1.0]
-        if other:
-            sel = [rows[k] for k in other]
-            tk = np.array([t[i] for i in sel])[:, None]
-            pw = np.power(tk, _take(E, sel), out=powv[: len(sel)])
-            for k, v in zip(other, _row_dots(_take(C, sel), pw)):
-                out[k] = v
-        return out
-
-    # geometric expansion if rounding flipped a sign
-    for t_end, factor, holds in ((t_lo, 0.5, operator.le), (t_hi, 2.0, operator.ge)):
+    CE = C * E
+    # geometric expansion if rounding flipped a sign, checked on rho, which at
+    # t = 1 is the plain sum; the dots at each row's final t_hi are Newton step 1
+    dots = [None] * len(live)
+    ends = ((t_lo, 0.5, operator.le, (C,)), (t_hi, 2.0, operator.ge, (C, CE)))
+    for t_end, factor, holds, mats in ends:
         rows = list(range(len(live)))
-        for _ in range(64):
-            rows = [i for i, v in zip(rows, rho(rows, t_end)) if not holds(v - 1.0, 0.0)]
-            if not rows:
+        for n in range(65):  # 64 expansions, each checked
+            tk = np.array([t_end[i] for i in rows])[:, None]
+            pw = np.power(tk, _take(E, rows), out=powv[: len(rows)])
+            for i, *v in zip(rows, *(_row_dots(_take(M, rows), pw) for M in mats)):
+                dots[i] = v
+            rho = [m1[i] if t_end[i] == 1.0 else dots[i][0] for i in rows]
+            rows = [i for i, v in zip(rows, rho) if not holds(v - 1.0, 0.0)]
+            if not rows or n == 64:
                 break
             for i in rows:
                 t_end[i] *= factor
-    CE = C * E
     target = [tol * e for e in e_hi]
     t = list(t_hi)
     for it in range(1, 301):
-        pw = np.power(np.array(t)[:, None], E, out=powv[: len(t)])
         go = []
-        for i, (r, dot) in enumerate(zip(_row_dots(C, pw), _row_dots(CE, pw))):
+        for i, (r, dot) in enumerate(dots):
             h, ti = r - 1.0, t[i]
             if abs(h) <= target[i] * min(ti, 1.0):
                 t_new = ti
@@ -225,6 +224,8 @@ def _luxemburg_roots(
             live, t_lo, t_hi, t, target = (
                 [v[i] for i in go] for v in (live, t_lo, t_hi, t, target)
             )
+        pw = np.power(np.array(t)[:, None], E, out=powv[: len(t)])
+        dots = zip(_row_dots(C, pw), _row_dots(CE, pw))
     raise NumericError(
         "Luxemburg norm did not reach the modular tolerance "
         f"(bracket [{1.0 / t_hi[0]}, {1.0 / t_lo[0]}], "

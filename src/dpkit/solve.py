@@ -22,14 +22,18 @@ nodal hats, evaluated with the frozen load of the trial iterate, which the
 next inner solve then reuses; the hats' gradient Luxemburg norms are built
 from their element patches in one batched root-find and kept on the mesh, so
 the Picard loop and a caller re-checking the residual at the returned iterate
-share one build.  Existence requires the coercivity margin of the declared
-growth constants to be positive; that margin is checked before any iteration
-runs.  Each solver input is read in one place: every forcing by :func:`_load`
-and every start iterate by :func:`_start`.  :class:`SolverOptions` holds
-exactly the settings a run config sets; every other limit is a module
-constant, and so are the sample counts of the sampled checks:
-``GROWTH_SAMPLES`` points in the box ``GROWTH_BOX`` for :func:`check_growth`
-and ``UNIQUENESS_SAMPLES`` for :func:`verify_uniqueness`.
+share one build.  The loop stops once that residual is at most WEAK_TOL and
+the step passes rho((u_{k+1} - u_k)/outer_tol) <= 1 in the gradient modular,
+the unit-ball form of ||u_{k+1} - u_k|| <= outer_tol in the gradient
+Luxemburg norm: one modular sum instead of a root-find.  Existence requires
+the coercivity margin of the declared growth constants to be positive; that
+margin is checked before any iteration runs.  Each solver input is read in
+one place: every forcing by :func:`_load` and every start iterate by
+:func:`_start`.  :class:`SolverOptions` holds exactly the settings a run
+config sets; every other limit is a module constant, and so are the sample
+counts of the sampled checks: ``GROWTH_SAMPLES`` points in the box
+``GROWTH_BOX`` for :func:`check_growth` and ``UNIQUENESS_SAMPLES`` for
+:func:`verify_uniqueness`.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .errors import NumericError, PreconditionError
 from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh, _check_order
 from .fields import ConditionReport, DoublePhase, ScalarField, field_bounds
 from .fields import _critical_exponent, _extremum_check
-from .modular import DEFAULT_NORM_TOL, _hat_norms, luxemburg_norm
+from .modular import DEFAULT_NORM_TOL, _hat_norms, luxemburg_norm, modular
 from .eigen import coercivity_margin, first_eigenvalue, uniqueness_margin
 from .operator import (
     DEFAULT_EPS_REG,
@@ -107,7 +111,7 @@ class SolverOptions:
         for name in ("newton_tol", "outer_tol", "norm_tol", "eps_reg"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        _check_order(self.order)
+        object.__setattr__(self, "order", _check_order(self.order))
 
 
 @dataclass
@@ -454,6 +458,16 @@ def weak_residual(
     return float(np.max(np.abs(res) / (1.0 + hat_norms), initial=0.0))
 
 
+def _step_within(step: DiscreteFunction, phase: DoublePhase, tol: float, order: int) -> bool:
+    """||step|| <= tol in the gradient Luxemburg norm, as rho(step / tol) <= 1;
+    a step / tol or a modular that overflows is a step above ``tol``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = step.values / tol  # not * (1 / tol): that is inf for a subnormal tol
+        return bool(np.all(np.isfinite(scaled))) and (
+            modular(DiscreteFunction(step.mesh, scaled), phase, "gradient", order).total <= 1.0
+        )
+
+
 def solve_convection(
     phase: DoublePhase,
     mesh: Mesh,
@@ -468,7 +482,8 @@ def solve_convection(
     positive (PreconditionError otherwise).  Each outer step freezes (u,
     grad u) inside f, solves the monotone problem, and relaxes the update;
     the relaxation is halved whenever the outer residual grows, down to
-    MIN_THETA before declaring failure.
+    MIN_THETA before declaring failure.  It stops at a weak residual at most
+    WEAK_TOL and a step with rho((u_{k+1} - u_k)/outer_tol) <= 1.
     """
     opts = options or SolverOptions()
     p_minus, _ = field_bounds(phase.p, mesh, opts.order)
@@ -509,12 +524,7 @@ def solve_convection(
                     f"iteration {it} with residual {res:.3e}"
                 )
         history.append(res)
-        # the step norm is a full-mesh root, so it is taken only once the
-        # residual has passed
-        if res <= WEAK_TOL and (
-            luxemburg_norm(unew - u, phase, "gradient", opts.norm_tol, opts.order)
-            <= opts.outer_tol
-        ):
+        if res <= WEAK_TOL and _step_within(unew - u, phase, opts.outer_tol, opts.order):
             return SolveReport(
                 unew, True, res, newton_total, it, margin, eigenvalue, history,
                 factorizations=carry.factorizations, pcg_iterations=carry.pcg_iterations,

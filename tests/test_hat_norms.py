@@ -85,6 +85,34 @@ def test_batched_roots_equal_scalar_roots(n_terms):
         assert (lam[i], its[i]) == scalar_root(coefs[i], expos[i], DEFAULT_NORM_TOL)
 
 
+def bracket_top(coefs, expos):
+    """The root's first bracket top for one row, as ``_luxemburg_roots`` forms it."""
+    m = float(coefs.sum())
+    return 1.0 / min(m ** (1.0 / expos.min()), m ** (1.0 / expos.max())) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_NORM_TOL, 1e-6])
+def test_root_blocks_equal_scalar_roots(tol):
+    # one block per term count, as the hat norms are solved: rows of one
+    # term, rows of one repeated exponent (e_min = e_max), and rows whose
+    # bracket top is exactly t = 1, where the sign check reads the plain sum
+    rng = np.random.default_rng(30)
+    tops_at_one = 0
+    for n_terms in (1, 3, 8):
+        coefs = rng.random((24, n_terms)) * 10.0 ** rng.uniform(-6.0, 6.0, (24, 1))
+        expos = rng.uniform(1.05, rng.uniform(1.1, 6.0, (24, 1)), (24, n_terms))
+        expos[:8] = expos[:8, :1]
+        for i, e in enumerate((1.5, 2.0, 3.0, 7.25)):
+            coefs[8 + i], expos[8 + i] = 0.0, e
+            coefs[8 + i, 0] = (1.0 + 1e-12) ** e
+        coefs[12] = 0.0
+        lam, its = _luxemburg_roots(coefs, expos, tol)
+        for i in range(coefs.shape[0]):
+            assert (lam[i], its[i]) == scalar_root(coefs[i], expos[i], tol)
+            tops_at_one += i != 12 and bracket_top(coefs[i], expos[i]) == 1.0
+    assert tops_at_one >= 4
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_hat_norms_raise_on_modular_overflow():
     mesh = build_interval_mesh(0.0, 1.0, 48)

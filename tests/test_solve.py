@@ -14,10 +14,11 @@ from dpkit.fem import (
     DiscreteFunction,
     build_interval_mesh,
     build_rect_mesh,
+    gauss_interval,
     interpolate,
 )
 from dpkit.fields import ScalarField, constant_phase
-from dpkit.modular import luxemburg_norm
+from dpkit.modular import luxemburg_norm, modular
 from dpkit.problems import growth_example_term, manufactured_case
 from dpkit.operator import assemble_jacobian, assemble_load, assemble_residual
 from dpkit.solve import (
@@ -508,6 +509,16 @@ def test_numpy_integer_order_is_the_int_order(square_mesh, crossing_phase):
         assert np.array_equal(a, b)
 
 
+def test_numpy_integer_order_builds_no_second_gauss_rule():
+    case = manufactured_case("poisson-1d")
+    gauss_interval.cache_clear()
+    for order in (4, np.int64(4)):
+        opts = SolverOptions(order=order)
+        assert type(opts.order) is int
+        assert case.solve(case.build_mesh(16), opts).converged
+    assert gauss_interval.cache_info().misses == 1
+
+
 def test_weak_residual_small_at_solution(interval_mesh, dp_phase):
     rhs = lambda pts: np.ones(pts.shape[0])
     rep = solve_monotone(dp_phase, interval_mesh, rhs)
@@ -602,6 +613,38 @@ def test_picard_builds_each_frozen_load_once(monkeypatch):
     assert len(residuals) == len(rep.history) == 1 + rep.outer_iterations
     assert len(loads) == 1 + len(residuals)
     assert all(r is load for r, load in zip(residuals, loads[1:]))
+
+
+def test_picard_stop_is_the_step_norm_test(square_mesh, crossing_phase):
+    # ||v|| <= tau exactly when rho(v / tau) <= 1, on either side of the norm
+    v = random_nodal(square_mesh, np.random.default_rng(5), scale=0.3)
+    lam = luxemburg_norm(v, crossing_phase, "gradient")
+    for rel in (-1e-3, -1e-9, 1e-9, 1e-3):
+        tau = lam * (1.0 + rel)
+        expected = lam <= tau
+        assert (modular(v * (1.0 / tau), crossing_phase, "gradient").total <= 1.0) == expected
+        assert dpkit.solve._step_within(v, crossing_phase, tau, DEFAULT_QUAD_ORDER) == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_picard_step_with_overflowing_modular_is_not_converged(interval_mesh):
+    phase = constant_phase(2.0, 400.0, 1.0, dim=3)
+    step = sine_bump(interval_mesh, amplitude=1e-6)
+    with np.errstate(over="ignore"):  # the step's modular at 1/tau overflows
+        assert modular(step * 1e10, phase, "gradient").total == np.inf
+    assert not dpkit.solve._step_within(step, phase, 1e-10, DEFAULT_QUAD_ORDER)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_picard_stop_at_a_subnormal_outer_tol(square_mesh, crossing_phase):
+    # 1 / 1e-320 is inf, and 0 * inf is nan: the step is divided by the tol
+    zero = DiscreteFunction(square_mesh, np.zeros(square_mesh.num_nodes))
+    step = random_nodal(square_mesh, np.random.default_rng(5))
+    assert dpkit.solve._step_within(zero, crossing_phase, 1e-320, DEFAULT_QUAD_ORDER)
+    assert not dpkit.solve._step_within(step, crossing_phase, 1e-320, DEFAULT_QUAD_ORDER)
+    cfg = parse_config(CONVECTION_2D)
+    rep = solve_convection(cfg.phase, cfg.mesh, cfg.term, SolverOptions(outer_tol=1e-320))
+    assert rep.converged and rep.outer_iterations == 5  # an exactly zero step
 
 
 def test_convection_requires_positive_margin(interval_mesh):
