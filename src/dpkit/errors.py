@@ -15,7 +15,7 @@ class DpkitError(Exception):
 class NumericError(DpkitError):
     """An iteration or quadrature failed to reach its tolerance.
 
-    Carries enough context (bracket endpoints, iteration counts, offending
+    Carries enough context (last iterate, iteration counts, offending
     element ids) in the message to diagnose the failure without re-running.
     """
 

@@ -435,7 +435,8 @@ class DiscreteFunction:
         return self._binary(other, -1.0)
 
     def __mul__(self, scalar):
-        return DiscreteFunction(self.mesh, float(scalar) * self.values, self.zero_boundary)
+        with np.errstate(invalid="ignore", over="ignore"):  # the constructor rejects non-finite
+            return DiscreteFunction(self.mesh, float(scalar) * self.values, self.zero_boundary)
 
     __rmul__ = __mul__
 

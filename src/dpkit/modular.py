@@ -3,15 +3,15 @@
 The integrand is H(x, t) = t^p(x) + mu(x) t^q(x).  For a P1 function u every
 modular evaluated by quadrature is a finite sum
 
-    rho(t u) = sum_k c_k t^{e_k},   c_k >= 0,  e_k > 1,
+    rho(u / lambda) = sum_k w_k (s_k / lambda)^{e_k},   w_k, s_k > 0,  e_k > 1,
 
 with one term per quadrature sample and part (plain p-part, weighted q-part;
-gradient samples are constant per element).  This representation makes the
-Luxemburg norm a one-dimensional root-find in t = 1/lambda for the strictly
-increasing convex map t -> rho(t u), which is solved by bracketed bisection
-with Newton acceleration: the bracket comes from the norm-modular sandwich,
-bisection guarantees convergence, Newton steps inside the bracket give the
-usual quadratic tail.
+gradient samples are constant per element).  A modular sums the terms in
+this power form.  The Luxemburg norm is the root of rho(u / lambda) = 1,
+found in log form: with tau = -log lambda and a_k = log w_k + e_k log s_k,
+log rho is the log-sum-exp of the affine maps a_k + e_k tau, convex and
+increasing in tau, so Newton from above converges to the root without a
+bracket, and no sum can overflow however large rho(u) is.
 
 ``_part_terms`` is the one term builder: every modular, Luxemburg norm and
 hat norm takes its terms from it.  ``_parts`` lists a variant's parts in term
@@ -20,16 +20,14 @@ build their p- and q-terms the same way and in the same order, which is what
 makes a hat norm equal its full-mesh norm bit for bit.
 
 ``_luxemburg_roots`` is the one root-finder.  It solves a block of
-equal-length power sums at once: a single-function norm is a block of one
-row, and the hat-function norms (the dual-norm diagnostics) go through it in
-blocks of hats, once per mesh, phase, tolerance and order.  The sums over
-terms are vectorized over the rows (row sums, stacked ``matmul`` dot
-products, ``power`` of each row's t), while each row's bracket and step are
-taken in Python floats, so a row's result does not depend on the block it is
-solved in.  The check that rho(t_hi) >= 1 at the bracket top shares its power
-with the first Newton step, which starts there.  rho grows along rays, so
-||u|| <= tau exactly when rho(u / tau) <= 1: a yes/no question about a norm,
-such as the Picard stop, needs one modular sum and no root.
+equal-length sums at once: a single-function norm is a block of one row, and
+the hat-function norms (the dual-norm diagnostics) go through it in blocks
+of hats, once per mesh, phase, tolerance and order.  The sums over terms are
+vectorized over the rows, while each row's stop and step are taken in Python
+floats, so a row's result does not depend on the block it is solved in.
+rho grows along rays, so ||u|| <= r exactly when rho(u / r) <= 1: a yes/no
+question about a norm, such as the Picard stop, needs one modular sum and no
+root.
 
 The inequality checks pass to fixed tolerances: ``NORM_MODULAR_TOL`` for
 :func:`check_norm_modular` and ``REVERSE_HOLDER_TOL`` for
@@ -39,7 +37,6 @@ The inequality checks pass to fixed tolerances: ``NORM_MODULAR_TOL`` for
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +78,25 @@ REVERSE_HOLDER_TOL = 1e-12  # pass tolerance of lhs - rhs in the reverse Hölder
 
 def _part_terms(
     samples: np.ndarray, expo: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coefs, expos, keep) of weight * samples**expo, flattened over the shape
-    of ``expo``: ``keep`` marks the entries kept, those of nonzero coefficient."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(w, s, e, keep) of weight * samples**expo flattened over the shape of
+    ``expo``: the terms w * s**e of nonzero w and s, and the mask keeping them."""
     s = np.broadcast_to(samples, expo.shape).reshape(-1)
     e = expo.reshape(-1)
     w = np.broadcast_to(weight, expo.shape).reshape(-1)
     keep = (w != 0.0) & (s != 0.0)
-    return w[keep] * np.power(s[keep], e[keep]), e[keep], keep
+    return w[keep], s[keep], e[keep], keep
+
+
+def _powers(w: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The terms w * s**e that a modular sums; inf where one overflows."""
+    with np.errstate(over="ignore"):
+        return w * np.power(s, e)
+
+
+def _logs(w: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The terms in log form, log w + e log s, finite for every kept term."""
+    return np.log(w) + e * np.log(s)
 
 
 # the public modular variants, by the samples each takes: |u|, |grad u| or both
@@ -101,7 +109,7 @@ def _check_variant(which: str) -> None:
 
 
 def _parts(u: DiscreteFunction, phase: DoublePhase, order: int, which: str) -> list:
-    """(coefs, expos) of each part of a modular variant, in term order.
+    """(w, s, e) of each part of a modular variant, in term order.
 
     For each of |u| and |grad u| that the variant takes, the p-part and then
     the q-part.
@@ -110,127 +118,82 @@ def _parts(u: DiscreteFunction, phase: DoublePhase, order: int, which: str) -> l
     parts = []
     for on in _VARIANTS[which]:
         s = np.abs(u.values_at(order)) if on == "value" else u.gradient_norms()[:, None]
-        parts += [_part_terms(s, p, w)[:2], _part_terms(s, q, w * mu)[:2]]
+        parts += [_part_terms(s, p, w)[:3], _part_terms(s, q, w * mu)[:3]]
     return parts
 
 
 def _collect_terms(
     u: DiscreteFunction, phase: DoublePhase, order: int, which: str
-) -> tuple[np.ndarray, np.ndarray]:
-    coefs, expos = zip(*_parts(u, phase, order, which))
-    return np.concatenate(coefs), np.concatenate(expos)
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
-    """Row-by-row dot products as floats, each summed as the 1-D ``a[i] @ b[i]``."""
-    if a.shape[0] == 1:  # skip the stacking, which costs more than a short sum
-        return [float(a[0] @ b[0])]
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
-
-
-def _take(a: np.ndarray, rows: list) -> np.ndarray:
-    """``a[rows]`` for ascending distinct rows, without a copy when that is all of a."""
-    return a if len(rows) == a.shape[0] else a[rows]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(map(np.concatenate, zip(*_parts(u, phase, order, which))))
 
 
 def _luxemburg_roots(
-    coefs: np.ndarray, expos: np.ndarray, tol: float
+    logs: np.ndarray, expos: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve rho_i(t) = 1 for every row of equal-length power sums.
+    """Solve rho_i = 1 for every row of equal-length sums in log form.
 
-    Row i is rho_i(t) = coefs[i] . t**expos[i]; returns arrays of
-    lambda_i = 1/t_i and of iteration counts.  A row stops when
-    |rho_i(t) - 1| <= tol * e_max * min(t, 1): for norms above one this
-    makes lambda accurate to about tol absolutely, and for norms below one it
-    caps the admissible modular residual at tol * e_max.  It also stops when
-    the bracket collapses to adjacent floats (lambda then carries no
-    representable error).  Rows whose sum vanishes get lambda = 0 after zero
-    iterations.  Raises NumericError on a non-finite modular, or for the
-    first row whose iteration budget runs out with a live bracket.
+    Row i is rho_i(tau) = sum_k exp(logs[i, k] + expos[i, k] * tau), with
+    tau = -log lambda (a zero term has log -inf); returns arrays of lambda_i
+    and of iteration counts.  Newton on the convex increasing log rho_i runs
+    from tau_0 = min_k(-logs[i, k] / expos[i, k]), where the largest term is
+    1 and none is larger, and only lowers tau, so rho_i stays in [1, n].
 
-    Each step takes one ``power`` over the live rows' exponents and two row
-    dot products (rho and its slope); the bracket and the Newton-or-bisection
-    step of each row are then taken in Python floats, and finished rows leave
-    the block.  Every row's arithmetic is thus the same whatever else is in
-    the block, and a single function is a block of one row.
+    A row stops when rho_i - 1 <= tol * e_max * min(t, 1), t = 1 / lambda:
+    lambda is then within tol * e_max / e_min of the norm, absolutely for
+    norms above one and relatively below, up to the rounding of tau (about
+    |tau| ulp, relative).  It also stops at the rounding floor: when the
+    computed rho_i <= 1, which in exact arithmetic only the root reaches, or
+    when a step leaves tau unchanged.  Rows without terms get lambda = 0
+    after zero iterations.  Raises NumericError for a norm outside the float
+    range, or for the first row whose 300-iteration budget runs out.
+
+    Each iteration takes one multiply-add, one ``exp``, one row sum and one
+    row dot over the live rows; each row's stop and step are then taken in
+    Python floats, and finished rows leave the block.  So a row's result does
+    not depend on its block, and a single function is a block of one row.
     """
     if not 0.0 < tol < math.inf:  # tol = inf would stop every row after one step
         raise ValueError("tol must be positive and finite")
-    lam = np.zeros(coefs.shape[0])
-    its = np.zeros(coefs.shape[0], dtype=int)
-    m1 = coefs.sum(axis=1).tolist()
-    if not all(map(math.isfinite, m1)):
-        raise NumericError("modular overflow while bracketing the Luxemburg norm")
-    live = [i for i, m in enumerate(m1) if m != 0.0]
-    if not live:
-        return lam, its
-    C, E = _take(coefs, live), _take(expos, live)
-    powv = np.empty_like(E)  # one buffer for every power evaluation
-    m1 = [m1[i] for i in live]
-    e_hi = E.max(axis=1).tolist()
-    t_lo, t_hi = [], []
-    # the norm-modular sandwich plus floating-point slack, in Python float
-    # powers: numpy's vectorized power may differ in the last bit
-    for m, lo, hi in zip(m1, E.min(axis=1).tolist(), e_hi):
-        a, b = sorted((m ** (1.0 / lo), m ** (1.0 / hi)))
-        t_lo.append(1.0 / b * (1.0 - 1e-12))
-        t_hi.append(1.0 / a * (1.0 + 1e-12))
-
-    CE = C * E
-    # geometric expansion if rounding flipped a sign, checked on rho, which at
-    # t = 1 is the plain sum; the dots at each row's final t_hi are Newton step 1
-    dots = [None] * len(live)
-    ends = ((t_lo, 0.5, operator.le, (C,)), (t_hi, 2.0, operator.ge, (C, CE)))
-    for t_end, factor, holds, mats in ends:
-        rows = list(range(len(live)))
-        for n in range(65):  # 64 expansions, each checked
-            tk = np.array([t_end[i] for i in rows])[:, None]
-            pw = np.power(tk, _take(E, rows), out=powv[: len(rows)])
-            for i, *v in zip(rows, *(_row_dots(_take(M, rows), pw) for M in mats)):
-                dots[i] = v
-            rho = [m1[i] if t_end[i] == 1.0 else dots[i][0] for i in rows]
-            rows = [i for i, v in zip(rows, rho) if not holds(v - 1.0, 0.0)]
-            if not rows or n == 64:
-                break
-            for i in rows:
-                t_end[i] *= factor
-    target = [tol * e for e in e_hi]
-    t = list(t_hi)
+    taus = np.min(-logs / expos, axis=1, initial=math.inf)
+    its = np.zeros(taus.size, dtype=int)
+    live = np.flatnonzero(np.isfinite(taus)).tolist()
+    A, E = logs[live], expos[live]
+    tau, target = taus[live].tolist(), (tol * E.max(axis=1, initial=0.0)).tolist()
+    buf = np.empty_like(A)  # one buffer for every sum's terms
     for it in range(1, 301):
+        z = np.multiply(E, np.array(tau)[:, None], out=buf[: len(tau)])
+        np.exp(np.add(z, A, out=z), out=z)
+        slopes = np.matmul(E[:, None, :], z[:, :, None])[:, 0, 0].tolist()  # d rho / d tau
         go = []
-        for i, (r, dot) in enumerate(dots):
-            h, ti = r - 1.0, t[i]
-            if abs(h) <= target[i] * min(ti, 1.0):
-                t_new = ti
+        for i, (rho, slope) in enumerate(zip(z.sum(axis=1).tolist(), slopes)):
+            prev = tau[i]
+            if rho - 1.0 > target[i] * math.exp(min(prev, 0.0)):
+                tau[i] -= math.log(rho) * rho / slope
+            if tau[i] == prev:
+                taus[live[i]], its[live[i]] = prev, it
             else:
-                if h > 0.0:
-                    t_hi[i] = ti
-                else:
-                    t_lo[i] = ti
-                slope = dot / ti
-                t_new = ti - h / slope if slope > 0.0 else 0.5 * (t_lo[i] + t_hi[i])
-                if not t_lo[i] < t_new < t_hi[i]:
-                    t_new = 0.5 * (t_lo[i] + t_hi[i])
-            if t_new == ti:  # converged, or bracket exhausted: t is exact
-                lam[live[i]] = 1.0 / ti
-                its[live[i]] = it
-            else:
-                t[i] = t_new
                 go.append(i)
         if not go:
-            return lam, its
+            break
         if len(go) < len(live):
-            C, E, CE = C[go], E[go], CE[go]
-            live, t_lo, t_hi, t, target = (
-                [v[i] for i in go] for v in (live, t_lo, t_hi, t, target)
-            )
-        pw = np.power(np.array(t)[:, None], E, out=powv[: len(t)])
-        dots = zip(_row_dots(C, pw), _row_dots(CE, pw))
-    raise NumericError(
-        "Luxemburg norm did not reach the modular tolerance "
-        f"(bracket [{1.0 / t_hi[0]}, {1.0 / t_lo[0]}], "
-        f"residual target {target[0] * min(t[0], 1.0)})"
-    )
+            A, E = A[go], E[go]
+            live, tau, target = ([v[i] for i in go] for v in (live, tau, target))
+    else:
+        raise NumericError(
+            f"Luxemburg norm missed its tolerance in 300 iterations (tau = -log lambda {tau[0]})"
+        )
+    with np.errstate(over="ignore"):
+        lam = np.exp(-taus)
+    if not np.all(np.isfinite(lam)):
+        raise NumericError("Luxemburg norm outside the float range")
+    return lam, its
+
+
+def _root(w: np.ndarray, s: np.ndarray, e: np.ndarray, tol: float) -> tuple[float, int]:
+    """(lambda, iterations) of one function's terms w * s**e."""
+    lam, its = _luxemburg_roots(_logs(w, s, e)[None], e[None], tol)
+    return float(lam[0]), int(its[0])
 
 
 # Hats per batched root: bounds the term arrays, so peak memory stays flat.
@@ -246,10 +209,10 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
     reassigning a field (say ``phase.mu``) misses the cache.
 
     A hat's gradient is its local basis gradient on each element of its
-    patch and zero elsewhere, so its power sum is built from the patch alone:
-    the same terms, in the same order, as the full-mesh function would give
-    (p-terms, then q-terms, by ascending element, zero weights dropped).  The
-    hats go through :func:`_luxemburg_roots` in blocks of ``_HAT_BLOCK``,
+    patch and zero elsewhere, so its log-form terms are built from the patch
+    alone: the same terms, in the same order, as the full-mesh function would
+    give (p-terms, then q-terms, by ascending element, zero weights dropped).
+    The hats go through :func:`_luxemburg_roots` in blocks of ``_HAT_BLOCK``,
     grouped by term count, so each norm equals the full-mesh function's
     :func:`luxemburg_norm` bit for bit, at a total cost linear in the mesh
     size.
@@ -279,21 +242,19 @@ def _patch_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.n
         offset = np.arange(hat.size) - (np.cumsum(k) - k)[hat]
         e, v = np.divmod(by_node[starts[nodes][hat] + offset], nv)
         grads = s[e, v][:, None]
-        coefs, expos, keep = zip(
-            _part_terms(grads, p[e], w[e]), _part_terms(grads, q[e], wmu[e])
-        )
+        terms = _part_terms(grads, p[e], w[e]), _part_terms(grads, q[e], wmu[e])
         hats = np.repeat(hat, nq)  # block hat of each (patch entry, sample)
-        owner = np.concatenate([hats[k] for k in keep])
+        owner = np.concatenate([hats[keep] for *_, keep in terms])
         by_hat = np.argsort(owner, kind="stable")  # p-terms, then q-terms, of each hat
-        coefs = np.concatenate(coefs)[by_hat]
-        expos = np.concatenate(expos)[by_hat]
+        logs = np.concatenate([_logs(*t[:3]) for t in terms])[by_hat]
+        expos = np.concatenate([t[2] for t in terms])[by_hat]
         n_terms = np.bincount(owner, minlength=nodes.size)
         first = np.cumsum(n_terms) - n_terms
         block = norms[lo : lo + nodes.size]
         for n in np.unique(n_terms):
             rows = np.flatnonzero(n_terms == n)
             idx = first[rows, None] + np.arange(n)
-            block[rows] = _luxemburg_roots(coefs[idx], expos[idx], tol)[0]
+            block[rows] = _luxemburg_roots(logs[idx], expos[idx], tol)[0]
     return norms
 
 
@@ -322,7 +283,7 @@ def modular(
     """rho_H of u (``on="value"``), of |grad u| (``on="gradient"``) or of both
     (``on="sobolev"``, the value modular plus the gradient modular)."""
     _check_variant(on)
-    sums = [float(coefs.sum()) for coefs, _ in _parts(u, phase, order, on)]
+    sums = [float(_powers(*part).sum()) for part in _parts(u, phase, order, on)]
     return ModularReport(sum(sums[0::2]), sum(sums[1::2]))
 
 
@@ -369,9 +330,8 @@ def luxemburg_report(
 ) -> LuxemburgResult:
     """Like :func:`luxemburg_norm` but reporting the iteration count too."""
     _check_variant(which)
-    coefs, expos = _collect_terms(u, phase, order, which)
-    lam, its = _luxemburg_roots(coefs[None], expos[None], tol)
-    return LuxemburgResult(float(lam[0]), int(its[0]), which, tol)
+    lam, its = _root(*_collect_terms(u, phase, order, which), tol)
+    return LuxemburgResult(lam, its, which, tol)
 
 
 def weighted_seminorm(
@@ -386,8 +346,7 @@ def weighted_seminorm(
     what makes it a seminorm rather than a norm.
     """
     _, q, mu, w = phase.at_quadrature(u.mesh, order)
-    coefs, expos, _ = _part_terms(np.abs(u.values_at(order)), q, w * mu)
-    return float(_luxemburg_roots(coefs[None], expos[None], tol)[0][0])
+    return _root(*_part_terms(np.abs(u.values_at(order)), q, w * mu)[:3], tol)[0]
 
 
 @dataclass
@@ -428,9 +387,9 @@ def check_norm_modular(
     the discrete modular lives.  A slack passes down to ``-NORM_MODULAR_TOL``.
     """
     _check_variant(which)
-    coefs, expos = _collect_terms(u, phase, order, which)
-    lam = float(_luxemburg_roots(coefs[None], expos[None], NORM_ROOT_TOL)[0][0])
-    rho = float(coefs.sum())
+    w, s, expos = _collect_terms(u, phase, order, which)
+    lam = _root(w, s, expos, NORM_ROOT_TOL)[0]
+    rho = float(_powers(w, s, expos).sum())
     if lam == 0.0:
         return NormModularReport(
             0.0, rho, "zero", [("modular zero", -abs(rho))], NORM_MODULAR_TOL

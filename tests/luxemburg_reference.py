@@ -1,8 +1,9 @@
-"""Frozen copy of the scalar Luxemburg root that the row-batched root replaced.
+"""Frozen copy of the scalar bracketed Luxemburg root, kept as the reference.
 
-``_luxemburg_roots`` must reproduce it bit for bit, norms and iteration
-counts alike, so it is kept here verbatim as the reference, with the
-power-sum record it took.
+``_luxemburg_roots`` now runs Newton in log space, with other arithmetic, so
+its norms agree with this root to the accuracy both stops guarantee, as
+:func:`agrees` checks, rather than bit for bit.  The root is kept verbatim,
+with the power-sum record it took.
 """
 
 from dataclasses import dataclass
@@ -90,3 +91,18 @@ def _luxemburg_root(terms: _PowerSum, tol: float) -> tuple[float, int]:
 def scalar_root(coefs: np.ndarray, expos: np.ndarray, tol: float) -> tuple[float, int]:
     """(lambda, iterations) of the power sum coefs . t**expos, by the scalar root."""
     return _luxemburg_root(_PowerSum(coefs, expos), tol)
+
+
+def agrees(lam: float, coefs: np.ndarray, expos: np.ndarray, tol: float) -> bool:
+    """|lam - lam_ref| <= 2 tol (e_max / e_min) max(lam_ref, 1) + 8 eps lam_ref.
+
+    lam_ref is the scalar root of the power sum coefs . t**expos.  Each
+    root's stop puts it within tol * e_max / e_min of the true norm:
+    absolutely above one, relatively below one.  The 8 eps term covers
+    rounding.
+    """
+    ref = scalar_root(coefs, expos, tol)[0]
+    if ref == 0.0:  # no terms, or all of them zero
+        return lam == 0.0
+    bound = 2.0 * tol * (expos.max() / expos.min()) * max(ref, 1.0)
+    return abs(lam - ref) <= bound + 8.0 * np.finfo(float).eps * ref

@@ -419,6 +419,14 @@ def test_discrete_function_rejects_wrong_length(interval_mesh):
         DiscreteFunction(interval_mesh, np.zeros(interval_mesh.num_nodes + 1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_scaling_to_non_finite_values_raises_only_the_finiteness_error(interval_mesh):
+    # 1 / 1e-320 is inf, and inf * 0 at the boundary nodes is nan
+    u = sine_bump(interval_mesh)
+    with pytest.raises(ValueError, match="nodal values must be finite"):
+        u * (1.0 / 1e-320)
+
+
 def test_zero_boundary_flag_enforced(interval_mesh):
     values = np.ones(interval_mesh.num_nodes)
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ import pytest
 
 import dpkit.operator
 import dpkit.solve
-from dpkit.errors import NumericError
 from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh
 from dpkit.fields import DoublePhase, ScalarField, constant_phase
 from dpkit.modular import (
@@ -34,7 +33,7 @@ from dpkit.properties import standard_phase_configs
 from dpkit.solve import solve_convection, verify_uniqueness, weak_residual
 
 from conftest import sine_bump
-from luxemburg_reference import scalar_root
+from luxemburg_reference import agrees
 
 MESHES = {
     "interval": build_interval_mesh(0.0, 1.0, 13),
@@ -73,57 +72,63 @@ def test_patch_norms_equal_full_mesh_norms(mesh_name, config, order):
     assert np.array_equal(got, full_mesh_hat_norms(mesh, phase, order=order))
 
 
+def assert_rows_solved_alone(logs, expos, tol):
+    """Each row of the block equals that row solved alone, bit for bit, in
+    lambda and iterations, and agrees with the frozen scalar root."""
+    lam, its = _luxemburg_roots(logs, expos, tol)
+    for i in range(logs.shape[0]):
+        alone = _luxemburg_roots(logs[i : i + 1], expos[i : i + 1], tol)
+        assert (lam[i], its[i]) == (alone[0][0], alone[1][0])
+        assert agrees(lam[i], np.exp(logs[i]), expos[i], tol)
+    return its
+
+
 @pytest.mark.parametrize("n_terms", [1, 7, 60, 200])
 def test_batched_roots_equal_scalar_roots(n_terms):
     rng = np.random.default_rng(n_terms)
     rows = 200
-    coefs = rng.random((rows, n_terms)) ** 3 * 10.0 ** rng.uniform(-12.0, 12.0, (rows, 1))
+    scale = rng.uniform(-12.0, 12.0, (rows, 1)) * np.log(10.0)
+    logs = 3.0 * np.log(rng.random((rows, n_terms))) + scale
     expos = rng.uniform(1.01, rng.uniform(1.05, 12.0, (rows, 1)), (rows, n_terms))
-    coefs[0] = 0.0
-    lam, its = _luxemburg_roots(coefs, expos, DEFAULT_NORM_TOL)
-    for i in range(rows):
-        assert (lam[i], its[i]) == scalar_root(coefs[i], expos[i], DEFAULT_NORM_TOL)
-
-
-def bracket_top(coefs, expos):
-    """The root's first bracket top for one row, as ``_luxemburg_roots`` forms it."""
-    m = float(coefs.sum())
-    return 1.0 / min(m ** (1.0 / expos.min()), m ** (1.0 / expos.max())) * (1.0 + 1e-12)
+    logs[0] = -np.inf  # a row of zero terms
+    assert_rows_solved_alone(logs, expos, DEFAULT_NORM_TOL)
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_NORM_TOL, 1e-6])
 def test_root_blocks_equal_scalar_roots(tol):
     # one block per term count, as the hat norms are solved: rows of one
-    # term, rows of one repeated exponent (e_min = e_max), and rows whose
-    # bracket top is exactly t = 1, where the sign check reads the plain sum
+    # term, rows of one repeated exponent (e_min = e_max), and rows with one
+    # nonzero term, whose start tau_0 is already the root
     rng = np.random.default_rng(30)
-    tops_at_one = 0
+    roots_at_start = 0
     for n_terms in (1, 3, 8):
-        coefs = rng.random((24, n_terms)) * 10.0 ** rng.uniform(-6.0, 6.0, (24, 1))
+        logs = np.log(rng.random((24, n_terms))) + rng.uniform(-6.0, 6.0, (24, 1)) * np.log(10.0)
         expos = rng.uniform(1.05, rng.uniform(1.1, 6.0, (24, 1)), (24, n_terms))
         expos[:8] = expos[:8, :1]
-        for i, e in enumerate((1.5, 2.0, 3.0, 7.25)):
-            coefs[8 + i], expos[8 + i] = 0.0, e
-            coefs[8 + i, 0] = (1.0 + 1e-12) ** e
-        coefs[12] = 0.0
-        lam, its = _luxemburg_roots(coefs, expos, tol)
-        for i in range(coefs.shape[0]):
-            assert (lam[i], its[i]) == scalar_root(coefs[i], expos[i], tol)
-            tops_at_one += i != 12 and bracket_top(coefs[i], expos[i]) == 1.0
-    assert tops_at_one >= 4
+        logs[8:12, 1:] = -np.inf
+        logs[12] = -np.inf
+        its = assert_rows_solved_alone(logs, expos, tol)
+        roots_at_start += np.count_nonzero(its[8:12] == 1)
+    assert roots_at_start >= 8
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_hat_norms_raise_on_modular_overflow():
+def test_hat_norm_at_large_q_matches_closed_form():
+    # rho(grad phi / lam) = (2/48)(x^2 + x^400), x = 48 / lam, for a hat on
+    # 1D n = 48, p = 2, q = 400, mu = 1; rho(grad phi) itself overflows.
+    # The root solves x = (24 - x^2)^(1/400), a contraction of ratio < 1e-3.
     mesh = build_interval_mesh(0.0, 1.0, 48)
     phase = constant_phase(2.0, 400.0, 1.0, dim=3)
+    x = 1.0
+    for _ in range(8):
+        x = (24.0 - x * x) ** (1.0 / 400.0)
+    closed = 48.0 / x
+    assert abs(closed - 47.6252933534) < 1e-10
     hat = np.zeros(mesh.num_nodes)
     hat[mesh.free_nodes[0]] = 1.0
     v = DiscreteFunction(mesh, hat, zero_boundary=True)
-    with pytest.raises(NumericError, match="modular overflow"):
-        luxemburg_norm(v, phase, "gradient")
-    with pytest.raises(NumericError, match="modular overflow"):
-        _hat_norms(mesh, phase, DEFAULT_NORM_TOL, 4)
+    bound = 2.0 * DEFAULT_NORM_TOL * (400.0 / 2.0) * closed + 8.0 * np.finfo(float).eps * closed
+    assert abs(luxemburg_norm(v, phase, "gradient") - closed) <= bound
+    assert np.all(np.abs(_hat_norms(mesh, phase, DEFAULT_NORM_TOL, 4) - closed) <= bound)
 
 
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkit.errors import NumericError
 from dpkit.fem import DiscreteFunction, build_interval_mesh, build_rect_mesh, interpolate
 from dpkit.fields import ScalarField, constant_phase
 from dpkit.modular import (
     DEFAULT_NORM_TOL,
+    NORM_ROOT_TOL,
     _collect_terms,
+    _logs,
     _luxemburg_roots,
     _part_terms,
+    _powers,
     check_norm_modular,
     luxemburg_norm,
     luxemburg_report,
@@ -28,7 +30,7 @@ from dpkit.modular import (
 from dpkit.properties import standard_phase_configs
 
 from conftest import random_nodal, sine_bump
-from luxemburg_reference import scalar_root
+from luxemburg_reference import agrees
 
 
 # ---------------------------------------------------------------------------
@@ -160,25 +162,27 @@ def reference_functions(mesh):
 @pytest.mark.parametrize("config", [name for name, _ in standard_phase_configs(1)])
 @pytest.mark.parametrize("mesh_name", sorted(REFERENCE_MESHES))
 def test_norms_equal_frozen_scalar_root(mesh_name, config, which):
+    # equal to the frozen root within the accuracy both stops guarantee
     mesh = REFERENCE_MESHES[mesh_name]
     phase = dict(standard_phase_configs(mesh.dim))[config]
     for u in reference_functions(mesh):
-        terms = _collect_terms(u, phase, 4, which)
+        w, s, e = _collect_terms(u, phase, 4, which)
         for tol in (DEFAULT_NORM_TOL, 1e-14, 1e-6):
-            rep = luxemburg_report(u, phase, which, tol)
-            assert (rep.norm, rep.iterations) == scalar_root(*terms, tol)
-        assert check_norm_modular(u, phase, which).norm == scalar_root(*terms, 1e-14)[0]
+            assert agrees(luxemburg_norm(u, phase, which, tol), _powers(w, s, e), e, tol)
+        assert agrees(check_norm_modular(u, phase, which).norm, _powers(w, s, e), e, 1e-14)
         _, q, mu, w = phase.at_quadrature(mesh, 4)
-        semi = scalar_root(*_part_terms(np.abs(u.values_at(4)), q, w * mu)[:2], DEFAULT_NORM_TOL)
-        assert weighted_seminorm(u, phase) == semi[0]
+        w, s, e, _ = _part_terms(np.abs(u.values_at(4)), q, w * mu)
+        assert agrees(weighted_seminorm(u, phase), _powers(w, s, e), e, DEFAULT_NORM_TOL)
 
 
 @pytest.mark.parametrize("expo", [1.01, 2.0, 3.5, 40.0])
 @pytest.mark.parametrize("coef", [1e-300, 1e-9, 0.37, 1.0, 2.5, 1e12])
 def test_one_term_root_equals_frozen_scalar_root(coef, expo):
+    # the start tau_0 = -log(coef) / expo is the root of a one-term row
     coefs, expos = np.array([coef]), np.array([expo])
-    lam, its = _luxemburg_roots(coefs[None], expos[None], DEFAULT_NORM_TOL)
-    assert (lam[0], its[0]) == scalar_root(coefs, expos, DEFAULT_NORM_TOL)
+    lam, its = _luxemburg_roots(np.log(coefs)[None], expos[None], DEFAULT_NORM_TOL)
+    assert its[0] <= 2
+    assert agrees(lam[0], coefs, expos, DEFAULT_NORM_TOL)
 
 
 def test_solution_size_gradient_norm_equals_frozen_scalar_root():
@@ -187,21 +191,48 @@ def test_solution_size_gradient_norm_equals_frozen_scalar_root():
     mesh = build_rect_mesh((0.0, 1.0), (0.0, 1.0), 48, 48)
     _, phase = standard_phase_configs(2)[2]
     u = sine_bump(mesh, amplitude=3.0)
-    terms = _collect_terms(u, phase, 4, "gradient")
-    assert terms[0].size == 82908
+    w, s, e = _collect_terms(u, phase, 4, "gradient")
+    assert e.size == 82908
+    lam, its = _luxemburg_roots(_logs(w, s, e)[None], e[None], DEFAULT_NORM_TOL)
     rep = luxemburg_report(u, phase, "gradient")
-    assert (rep.norm, rep.iterations) == scalar_root(*terms, DEFAULT_NORM_TOL)
+    assert (rep.norm, rep.iterations) == (lam[0], its[0])
+    assert agrees(lam[0], _powers(w, s, e), e, DEFAULT_NORM_TOL)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_modular_overflow_raises_the_frozen_message(interval_mesh):
+def test_large_q_value_norm_is_finite(interval_mesh):
+    # rho(u) overflows: the q = 400 part of |u| = 40 is about 10^640
     phase = constant_phase(2.0, 400.0, 1.0, dim=3)
     u = sine_bump(interval_mesh, amplitude=40.0)
-    with pytest.raises(NumericError) as expected:
-        scalar_root(*_collect_terms(u, phase, 4, "value"), DEFAULT_NORM_TOL)
-    with pytest.raises(NumericError) as got:
-        luxemburg_norm(u, phase, "value")
-    assert str(got.value) == str(expected.value)
+    assert modular(u, phase, "value").q_part == np.inf
+    lam = luxemburg_norm(u, phase, "value")
+    assert 0.0 < lam < np.inf
+    rho = modular(u * (1.0 / lam), phase, "value").total
+    assert abs(rho - 1.0) <= DEFAULT_NORM_TOL * 400.0
+
+
+@pytest.mark.parametrize("mesh_name", sorted(REFERENCE_MESHES))
+def test_root_stops_at_the_rounding_floor(mesh_name):
+    # At NORM_ROOT_TOL the modular target of a norm above one falls below one
+    # ulp of rho, so the computed rho can step from above 1 to below it
+    # without meeting the target; a root that then stepped back up would
+    # alternate between two adjacent tau until its budget ran out.
+    mesh = REFERENCE_MESHES[mesh_name]
+    for _, phase in standard_phase_configs(mesh.dim)[:3]:
+        for amplitude in range(1, 101):
+            u = sine_bump(mesh, amplitude=float(amplitude))
+            assert luxemburg_report(u, phase, "sobolev", NORM_ROOT_TOL).iterations <= 10
+            assert check_norm_modular(u, phase, "sobolev").passed
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_norm_is_homogeneous_far_from_one(interval_mesh, dp_phase, scale):
+    # the power-form terms of u * scale underflow to 0 or overflow; the log
+    # form does not.  Each norm is within 1.5 tol of its root (e_max / e_min
+    # = 1.5), relatively below one and absolutely above.
+    u = sine_bump(interval_mesh, amplitude=1.7)
+    lam = luxemburg_norm(u, dp_phase, "value")
+    scaled = luxemburg_norm(u * scale, dp_phase, "value")
+    assert scaled == pytest.approx(scale * lam, rel=4.0 * DEFAULT_NORM_TOL * max(1.0, lam))
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))

@@ -265,7 +265,7 @@ def test_boundedness_estimate_is_pinned(square_mesh, dp_phase):
     )
     res = boundedness_estimate(u, dp_phase)
     assert (res.bound, res.empirical, res.norm_u, res.tol) == (
-        13.297611136034112, 0.8108890419383109, 2.9774274282825783, 1e-9
+        13.29761113603415, 0.8108890419383109, 2.9774274282825823, 1e-9
     )
 
 
