@@ -2,15 +2,15 @@
 
 lambda_{1,r} = inf { int |grad u|^r dx : u zero-trace, int |u|^r dx = 1 }.
 
-For r = 2 this is the generalized eigenvalue problem K u = lambda M u with
-the P1 stiffness and mass matrices, assembled straight into their free-node
-blocks by :meth:`Mesh.scatter_free` and solved by inverse power iteration.
-K is symmetric positive definite, so it is factored once in a symmetric
-fill-reducing order (minimum degree on K^T + K).  For r != 2 a normalized
-inverse iteration is used: each step solves the monotone problem
-A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k and renormalizes.  Either iteration
-ends on Rayleigh-quotient stagnation, or raises after MAX_EIGEN_ITER steps;
-the inner Newton solves share one :class:`dpkit.solve.FactorCarry` (see its
+:func:`first_eigenvalue` runs one normalized inverse iteration for every r:
+from a product of coordinate sine bumps, it recomputes the Rayleigh quotient
+after each step and ends once lambda changes by at most tol * max(1, |lambda|),
+or raises after MAX_EIGEN_ITER steps.  Only the step forks.  For r = 2 it
+solves K x = M x_k by one LU of the free-node stiffness block (minimum-degree
+order on K^T + K), keeps x at unit Euclidean norm with lambda = x^T K x /
+x^T M x, and L^2-normalizes once at the end.  For r != 2 it solves the
+monotone problem A_r(u_{k+1}) = lambda_k |u_k|^{r-2} u_k and renormalizes in
+L^r; those Newton solves share one :class:`dpkit.solve.FactorCarry` (see its
 docstring for the preconditioner rules).
 
 The margins below are the positivity conditions under which the convection
@@ -28,6 +28,7 @@ import scipy.sparse.linalg as spla
 from .errors import NumericError
 from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh, integrate_samples, interpolate
 from .fields import DoublePhase, ScalarField
+from .operator import _power0, assemble_load
 
 __all__ = [
     "EigenResult",
@@ -76,16 +77,10 @@ class EigenResult:
 
 def _coordinate_bump(mesh: Mesh) -> DiscreteFunction:
     """Product of coordinate sine bumps, positive inside, zero on the boundary."""
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-
-    def fn(pts):
-        out = np.ones(pts.shape[0])
-        for d in range(mesh.dim):
-            out *= np.sin(np.pi * (pts[:, d] - lo[d]) / (hi[d] - lo[d]))
-        return out
-
-    return interpolate(mesh, fn, zero_boundary=True)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    return interpolate(
+        mesh, lambda x: np.prod(np.sin(np.pi * (x - lo) / (hi - lo)), axis=1), zero_boundary=True
+    )
 
 
 def rayleigh_quotient(
@@ -93,21 +88,16 @@ def rayleigh_quotient(
 ) -> float:
     """int |grad u|^r dx / int |u|^r dx by quadrature."""
     mesh = u.mesh
-    num = float(np.sum(_grad_pow(u, r, order)))
+    _, w, _ = mesh.quadrature_points(order)
+    num = float(np.sum(np.sum(w, axis=1) * u.gradient_norms() ** r))
     den = integrate_samples(mesh, np.abs(u.values_at(order)) ** r, order)
     if den == 0.0:
         raise ValueError("Rayleigh quotient of the zero function")
     return num / den
 
 
-def _grad_pow(u: DiscreteFunction, r: float, order: int) -> np.ndarray:
-    _, w, _ = u.mesh.quadrature_points(order)
-    return np.sum(w, axis=1) * u.gradient_norms() ** r
-
-
 def _normalized(u: DiscreteFunction, r: float, order: int) -> DiscreteFunction:
-    mesh = u.mesh
-    mass = integrate_samples(mesh, np.abs(u.values_at(order)) ** r, order)
+    mass = integrate_samples(u.mesh, np.abs(u.values_at(order)) ** r, order)
     if mass <= 0.0:
         raise NumericError("eigen iteration collapsed to the zero function")
     v = u * (mass ** (-1.0 / r))
@@ -132,64 +122,18 @@ def first_eigenvalue(
         raise ValueError(f"tol must be positive, got tol = {tol}")
     if tol == np.inf:  # would stop after one iteration, unconverged
         raise ValueError(f"tol must be finite, got tol = {tol}")
-    if r == 2.0:
-        return _first_eigenvalue_linear(mesh, tol, order)
-    return _first_eigenvalue_nonlinear(mesh, r, tol, order)
-
-
-def _first_eigenvalue_linear(mesh, tol, order) -> EigenResult:
-    free = mesh.free_nodes
-    K = mesh.scatter_free(_stiffness_local(mesh)).tocsc()
-    M = mesh.scatter_free(_mass_local(mesh, order))
-    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A")
-    x = _coordinate_bump(mesh).values[free]
-    lam = float(x @ (K @ x)) / float(x @ (M @ x))
+    steps = _linear_steps if r == 2.0 else _nonlinear_steps
+    x, step, quotient, finish = steps(mesh, r, tol, order)
+    lam = quotient(x)
     history = []
     for it in range(1, MAX_EIGEN_ITER + 1):
-        x = lu.solve(M @ x)
-        x /= np.linalg.norm(x)
-        lam_new = float(x @ (K @ x)) / float(x @ (M @ x))
+        x = step(x, lam)
+        lam_new = quotient(x)
         history.append(abs(lam_new - lam))
         done = abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
         lam = lam_new
         if done:
-            vals = np.zeros(mesh.num_nodes)
-            vals[free] = x
-            u = _normalized(DiscreteFunction(mesh, vals, zero_boundary=True), 2.0, order)
-            _check_one_sign(u)
-            return EigenResult(lam, u, 2.0, it, history)
-    raise NumericError(
-        f"inverse iteration did not stagnate within {MAX_EIGEN_ITER} iterations "
-        f"(last eigenvalue change {history[-1]:.3e})"
-    )
-
-
-def _first_eigenvalue_nonlinear(mesh, r, tol, order) -> EigenResult:
-    from .solve import FactorCarry, SolverOptions, solve_monotone  # deferred: solver uses margins
-
-    from .operator import _power0, assemble_load
-
-    phase_r = DoublePhase(
-        ScalarField.constant(r), ScalarField.constant(r), ScalarField.constant(0.0),
-        dim=max(2, mesh.dim),
-    )
-    u = _normalized(_coordinate_bump(mesh), r, order)
-    lam = rayleigh_quotient(u, r, order)
-    opts = SolverOptions(newton_tol=min(1e-11, tol), order=order)
-    carry = FactorCarry()  # freed on return: the preconditioner never outlives this solve
-    history = []
-    for it in range(1, MAX_EIGEN_ITER + 1):
-        uv = u.values_at(order)
-        # 0**(r-2) = 0: for r < 2 the plain power gives 0 * inf = nan at u = 0
-        samples = lam * _power0(np.abs(uv), r - 2.0) * uv
-        load = assemble_load(mesh, samples, order)
-        sol = solve_monotone(phase_r, mesh, rhs=load, options=opts, initial=u, carry=carry)
-        u = _normalized(sol.u, r, order)
-        lam_new = rayleigh_quotient(u, r, order)
-        history.append(abs(lam_new - lam))
-        done = abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-        lam = lam_new
-        if done:
+            u = finish(x)
             _check_one_sign(u)
             return EigenResult(lam, u, r, it, history)
     raise NumericError(
@@ -198,9 +142,51 @@ def _first_eigenvalue_nonlinear(mesh, r, tol, order) -> EigenResult:
     )
 
 
+def _linear_steps(mesh, r, tol, order):
+    """r = 2: the free-node vector, one LU of K, lambda = x^T K x / x^T M x."""
+    free = mesh.free_nodes
+    K = mesh.scatter_free(_stiffness_local(mesh)).tocsc()
+    M = mesh.scatter_free(_mass_local(mesh, order))
+    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A")
+
+    def step(x, lam):
+        x = lu.solve(M @ x)
+        return x / np.linalg.norm(x)
+
+    def finish(x):
+        vals = np.zeros(mesh.num_nodes)
+        vals[free] = x
+        return _normalized(DiscreteFunction(mesh, vals, zero_boundary=True), r, order)
+
+    start = _coordinate_bump(mesh).values[free]
+    return start, step, lambda x: float(x @ (K @ x)) / float(x @ (M @ x)), finish
+
+
+def _nonlinear_steps(mesh, r, tol, order):
+    """r != 2: a function normalized in L^r, one monotone solve per step."""
+    from .solve import FactorCarry, SolverOptions, solve_monotone  # deferred: solver uses margins
+
+    phase_r = DoublePhase(
+        ScalarField.constant(r), ScalarField.constant(r), ScalarField.constant(0.0),
+        dim=max(2, mesh.dim),
+    )
+    opts = SolverOptions(newton_tol=min(1e-11, tol), order=order)
+    carry = FactorCarry()  # freed with the loop: the preconditioner never outlives it
+
+    def step(u, lam):
+        uv = u.values_at(order)
+        # 0**(r-2) = 0: for r < 2 the plain power gives 0 * inf = nan at u = 0
+        samples = lam * _power0(np.abs(uv), r - 2.0) * uv
+        load = assemble_load(mesh, samples, order)
+        sol = solve_monotone(phase_r, mesh, rhs=load, options=opts, initial=u, carry=carry)
+        return _normalized(sol.u, r, order)
+
+    start = _normalized(_coordinate_bump(mesh), r, order)
+    return start, step, lambda u: rayleigh_quotient(u, r, order), lambda u: u
+
+
 def _check_one_sign(u: DiscreteFunction) -> None:
-    lo = float(u.values.min())
-    hi = float(u.values.max())
+    lo, hi = float(u.values.min()), float(u.values.max())
     if lo < -1e-8 * max(hi, 1e-30):
         raise NumericError(
             f"computed eigenfunction changes sign (min {lo}, max {hi}); "

@@ -40,6 +40,7 @@ MIN_QUAD_ORDER = 1
 MAX_QUAD_ORDER = 8
 DEFAULT_QUAD_ORDER = 4
 MIN_COARSE_CELLS = 16  # cells a side of the coarsest multigrid level, at least
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # below it, a sum of squares is subnormal
 
 
 class Quadrature:
@@ -379,6 +380,19 @@ def build_rect_mesh(xspan, yspan, nx: int, ny: int) -> Mesh:
     return mesh
 
 
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along the last axis, the one rule for gradient lengths: the
+    plain sqrt of the sum of squares, or hypot where the squares leave the float range."""
+    if vectors.shape[-1] == 1:  # sqrt(x^2) is |x| wherever x^2 neither overflows nor underflows
+        return np.abs(vectors[..., 0])
+    with np.errstate(over="ignore"):  # summed by column: np.sum over a short axis is slower
+        out = np.sqrt(sum(c**2 for c in np.moveaxis(vectors, -1, 0)))
+    bad = np.nonzero(~(out >= _SQRT_TINY) | (out == np.inf))
+    if bad[0].size and vectors.any():  # all-zero vectors have length 0 in either form
+        out[bad] = np.hypot.reduce(vectors[bad], axis=-1)
+    return out
+
+
 class DiscreteFunction:
     """A P1 function given by nodal values on a mesh.
 
@@ -411,7 +425,7 @@ class DiscreteFunction:
 
     def gradient_norms(self) -> np.ndarray:
         """Euclidean norm of the element gradients, shape (nelems,)."""
-        return np.sqrt(np.sum(self.gradients**2, axis=1))
+        return _lengths(self.gradients)
 
     def zero_on_boundary(self) -> "DiscreteFunction":
         """Copy with boundary values set to zero (projection onto zero trace)."""

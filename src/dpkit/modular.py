@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh
+from .fem import DEFAULT_QUAD_ORDER, DiscreteFunction, Mesh, _lengths
 from .fields import DoublePhase
 
 __all__ = [
@@ -226,8 +226,7 @@ def _hat_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.nda
 def _patch_norms(mesh: Mesh, phase: DoublePhase, tol: float, order: int) -> np.ndarray:
     p, q, mu, w = phase.at_quadrature(mesh, order)
     wmu = w * mu
-    # |grad phi| of each (element, local vertex), as gradient_norms() gives it
-    s = np.sqrt(np.sum(mesh.basis_gradients**2, axis=2))
+    s = _lengths(mesh.basis_gradients)  # |grad phi| of each (element, local vertex)
     nv, nq = mesh.elements.shape[1], p.shape[1]
     flat = mesh.elements.ravel()
     by_node = np.argsort(flat, kind="stable")  # ascending element within each node

@@ -33,7 +33,7 @@ one place: every forcing by :func:`_load` and every start iterate by
 config sets; every other limit is a module constant, and so are the sample
 counts of the sampled checks: ``GROWTH_SAMPLES`` points in the box
 ``GROWTH_BOX`` for :func:`check_growth` and ``UNIQUENESS_SAMPLES`` for
-:func:`verify_uniqueness`.
+:func:`verify_uniqueness`, whose starts must agree to ``UNIQUENESS_MATCH_TOL``.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ MIN_THETA = 1.0 / 16.0
 GROWTH_SAMPLES = 10_000
 GROWTH_BOX = 1e3
 UNIQUENESS_SAMPLES = 2000
+UNIQUENESS_MATCH_TOL = 1e-8  # largest gradient-norm disagreement of the starts
 
 
 @dataclass(frozen=True)
@@ -591,7 +592,7 @@ class UniquenessReport:
     solutions: int
     max_disagreement: float
     structure: ConditionReport
-    match_tol: float
+    match_tol: float = UNIQUENESS_MATCH_TOL  # the agreement bound that was applied
 
     @property
     def passed(self) -> bool:
@@ -603,7 +604,6 @@ def verify_uniqueness(
     mesh: Mesh,
     term: ConvectionTerm,
     options: SolverOptions | None = None,
-    match_tol: float = 1e-8,
     seed: int = 0,
 ) -> UniquenessReport:
     """Verify the uniqueness regime by structure sampling and multi-start solves.
@@ -612,8 +612,9 @@ def verify_uniqueness(
     1 - c1/lambda - c2/sqrt(lambda) (PreconditionError otherwise).  Runs
     three solves from independent initial guesses — zero-start default,
     seeded random, scaled first eigenfunction — and reports the largest
-    pairwise gradient-norm disagreement, along with checks of the one-sided
-    Lipschitz bound in s and linearity in xi at ``UNIQUENESS_SAMPLES`` points.
+    pairwise gradient-norm disagreement (passing if <= ``UNIQUENESS_MATCH_TOL``)
+    with checks of the one-sided Lipschitz bound in s and linearity in xi at
+    ``UNIQUENESS_SAMPLES`` points.
     """
     opts = options or SolverOptions()
     p_lo, p_hi = field_bounds(phase.p, mesh, opts.order)
@@ -645,7 +646,7 @@ def verify_uniqueness(
         luxemburg_norm(a - b, phase, "gradient", opts.norm_tol, opts.order)
         for a, b in itertools.combinations(solutions, 2)
     )
-    return UniquenessReport(margin, eig.value, len(solutions), worst, structure, match_tol)
+    return UniquenessReport(margin, eig.value, len(solutions), worst, structure)
 
 
 def _sample_uniqueness_structure(

@@ -271,11 +271,9 @@ def test_c10_double_phase_solve():
 def test_c11_uniqueness_multistart_and_precondition():
     case = manufactured_case("convection-linear")
     mesh = case.build_mesh(128)
-    rep = verify_uniqueness(case.phase, mesh, case.term, match_tol=1e-8)
+    rep = verify_uniqueness(case.phase, mesh, case.term)
     with pytest.raises(PreconditionError):
-        verify_uniqueness(
-            case.phase, mesh, dataclasses.replace(case.term, c1=1e6), match_tol=1e-8
-        )
+        verify_uniqueness(case.phase, mesh, dataclasses.replace(case.term, c1=1e6))
     _check(
         "C11 uniqueness",
         rep.passed and rep.margin >= 0.3 and rep.max_disagreement <= 1e-8,

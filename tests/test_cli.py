@@ -621,7 +621,7 @@ def test_unset_settings_are_module_constants(monkeypatch):
         fields.estimate_holder: {"pair_budget"},
         fields.estimate_log_holder: {"pair_budget"},
         dpkit.solve.check_growth: {"n_samples", "s_bound", "xi_bound"},
-        dpkit.solve.verify_uniqueness: {"n_samples", "n_starts"},
+        dpkit.solve.verify_uniqueness: {"n_samples", "n_starts", "match_tol"},
         operator.boundedness_estimate: {"n_random", "tol"},
         modular.check_norm_modular: {"tol", "norm_tol"},
         modular.sobolev_conjugate_inverse: {"tol"},
@@ -639,7 +639,7 @@ def test_unset_settings_are_module_constants(monkeypatch):
     assert (fields.PAIR_BUDGET, fields.A1_PAIR_BUDGET) == (2000, 4000)
     solve = dpkit.solve
     assert (solve.GROWTH_SAMPLES, solve.GROWTH_BOX) == (10_000, 1e3)
-    assert solve.UNIQUENESS_SAMPLES == 2000
+    assert (solve.UNIQUENESS_SAMPLES, solve.UNIQUENESS_MATCH_TOL) == (2000, 1e-8)
     assert (operator.DUAL_DIRECTIONS, operator.DUAL_BOUND_TOL) == (100, 1e-9)
     assert (modular.NORM_MODULAR_TOL, modular.REVERSE_HOLDER_TOL) == (1e-12, 1e-12)
     assert (modular.NORM_ROOT_TOL, modular.UNIT_NORM_BAND) == (1e-14, 1e-12)

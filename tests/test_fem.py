@@ -404,6 +404,17 @@ def test_gradient_norms_match_gradients(interval_mesh):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lengths_scale_only_where_the_squares_leave_the_float_range(square_mesh):
+    # ordinary gradients keep the bits of the plain sqrt of the sum of squares
+    u = random_nodal(square_mesh, np.random.default_rng(6))
+    plain = np.sqrt(np.sum(u.gradients**2, axis=1))
+    assert np.array_equal(u.gradient_norms(), plain)
+    extreme = np.array([[3e200, -4e200], [3e-200, 4e-200], [0.0, 0.0], [1e-160, 0.0]])
+    np.testing.assert_allclose(fem._lengths(extreme), [5e200, 5e-200, 0.0, 1e-160], rtol=1e-15)
+    assert fem._lengths(np.array([[-1e200], [1e-200], [0.0]])).tolist() == [1e200, 1e-200, 0.0]
+
+
 def test_discrete_function_arithmetic(interval_mesh):
     rng = np.random.default_rng(1)
     u = random_nodal(interval_mesh, rng)

@@ -215,7 +215,7 @@ def test_boundedness_and_residual_share_one_build(hat_norm_builds, monkeypatch):
 def test_verify_uniqueness_builds_hat_norms_once(hat_norm_builds):
     case = manufactured_case("convection-linear")
     mesh = case.build_mesh(64)
-    rep = verify_uniqueness(case.phase, mesh, case.term, match_tol=1e-8)
+    rep = verify_uniqueness(case.phase, mesh, case.term)
     assert rep.solutions == 3 and rep.passed
     assert hat_norm_builds == [(4, DEFAULT_NORM_TOL)]
 

@@ -224,15 +224,19 @@ def test_root_stops_at_the_rounding_floor(mesh_name):
             assert check_norm_modular(u, phase, "sobolev").passed
 
 
+@pytest.mark.parametrize("which", ["value", "gradient"])
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
-def test_norm_is_homogeneous_far_from_one(interval_mesh, dp_phase, scale):
+def test_norm_is_homogeneous_far_from_one(interval_mesh, square_mesh, dp_phase, scale, which):
     # the power-form terms of u * scale underflow to 0 or overflow; the log
-    # form does not.  Each norm is within 1.5 tol of its root (e_max / e_min
-    # = 1.5), relatively below one and absolutely above.
-    u = sine_bump(interval_mesh, amplitude=1.7)
-    lam = luxemburg_norm(u, dp_phase, "value")
-    scaled = luxemburg_norm(u * scale, dp_phase, "value")
-    assert scaled == pytest.approx(scale * lam, rel=4.0 * DEFAULT_NORM_TOL * max(1.0, lam))
+    # form does not, and neither do the gradient lengths (|x| in 1D, hypot in
+    # 2D).  Each norm is within 1.5 tol of its root (e_max / e_min = 1.5),
+    # relatively below one and absolutely above.  Compared after unscaling, so
+    # that approx's absolute floor cannot accept a norm that underflowed to 0.
+    for mesh in (interval_mesh, square_mesh):
+        u = sine_bump(mesh, amplitude=1.7)
+        lam = luxemburg_norm(u, dp_phase, which)
+        scaled = luxemburg_norm(u * scale, dp_phase, which)
+        assert scaled / scale == pytest.approx(lam, rel=4.0 * DEFAULT_NORM_TOL * max(1.0, lam))
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
