@@ -262,20 +262,25 @@ def sample_points(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
 def sample_pairs(mesh: Mesh, pair_budget: int = 2000, seed: int = 0):
     """Index pairs for modulus estimation: all mesh edges plus random pairs.
 
-    Returns (i, j) int index arrays into ``mesh.nodes``: the distinct pairs
-    with i < j, sorted by (i, j).
+    Returns read-only (i, j) int index arrays into ``mesh.nodes``: the distinct
+    pairs with i < j, sorted by (i, j), kept in the mesh cache in one slot per
+    ``pair_budget`` keyed by ``seed``.
     """
     if pair_budget < 0:
         raise ValueError("pair_budget must be nonnegative")
-    pairs = [mesh.edges()]
-    n = mesh.num_nodes
-    if pair_budget > 0 and n > 1:
-        rng = np.random.default_rng(seed)
-        raw = rng.integers(0, n, size=(pair_budget, 2))
-        raw = raw[raw[:, 0] != raw[:, 1]]
-        pairs.append(np.sort(raw, axis=1))
-    allp = _unique_pairs(np.vstack(pairs), n)
-    return allp[:, 0], allp[:, 1]
+
+    def build():
+        pairs = [mesh.edges()]
+        n = mesh.num_nodes
+        if pair_budget > 0 and n > 1:
+            rng = np.random.default_rng(seed)
+            raw = rng.integers(0, n, size=(pair_budget, 2))
+            raw = raw[raw[:, 0] != raw[:, 1]]
+            pairs.append(np.sort(raw, axis=1))
+        allp = _unique_pairs(np.vstack(pairs), n)
+        return allp[:, 0], allp[:, 1]
+
+    return mesh.cached(("pairs", pair_budget), (seed,), build)
 
 
 def field_bounds(field: ScalarField, mesh: Mesh, order: int = DEFAULT_QUAD_ORDER):

@@ -1,11 +1,11 @@
 """Seeded invariant catalogue behind the ``verify`` subcommand.
 
-Every entry is a self-contained, deterministic check of one structural
-property the package is supposed to guarantee — norm/modular relations,
-operator monotonicity, discretization identities, eigenvalue bounds, solver
-behavior.  Each property receives only a seed, builds its own meshes and
-samples, and returns a pass flag plus a one-line numeric detail, so the suite
-doubles as a quick regression harness and as the determinism fixture.
+Every entry is a deterministic check of one structural property: norm/modular
+relations, operator monotonicity, discretization identities, eigenvalue bounds,
+solver behavior.  Each receives the run's :class:`_Run`, which holds the seed and
+builds every mesh, phase list, sample-function set and the dp-1d solve once, so
+the per-mesh cache hits; nothing outlives the run.  Each returns a pass flag and
+a one-line numeric detail, so the suite is also the determinism fixture.
 """
 
 from __future__ import annotations
@@ -136,28 +136,67 @@ def standard_phase_configs(dim: int) -> list:
     ]
 
 
-def _verify_meshes() -> list:
-    return [build_interval_mesh(0.0, 1.0, 32), build_rect_mesh((0, 1), (0, 1), 8, 8)]
+class _Run:
+    """The inputs one :func:`run_properties` call shares between properties,
+    each built on first use and handed to every property that asks for it with
+    the same arguments; shared functions are read-only."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._built = {}
+
+    def _get(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def interval(self, n: int, a: float = 0.0, b: float = 1.0) -> Mesh:
+        return self._get(("interval", a, b, n), lambda: build_interval_mesh(a, b, n))
+
+    def meshes(self) -> list:
+        """The interval n = 32 and the 8x8 unit square."""
+        square = self._get("square", lambda: build_rect_mesh((0, 1), (0, 1), 8, 8))
+        return [self.interval(32), square]
+
+    def phases(self, dim: int) -> list:
+        return self._get(("phases", dim), lambda: standard_phase_configs(dim))
+
+    def functions(self, per_mesh: int) -> list:
+        """``per_mesh`` random functions on each of :meth:`meshes`, drawn from
+        one generator seeded with the run's seed."""
+        rng = np.random.default_rng(self.seed)
+        draws = (random_smooth_function(m, rng) for m in self.meshes() for _ in range(per_mesh))
+        return self._get(("functions", per_mesh), lambda: [_frozen(u) for u in draws])
+
+    def function_phases(self, per_mesh: int):
+        """(u, phase) over :meth:`functions` and each mesh's first three phases,
+        grouped by (mesh, phase) so each pair's samples fill the mesh cache once."""
+        funcs = self.functions(per_mesh)
+        for mesh in self.meshes():
+            for _, phase in self.phases(mesh.dim)[:3]:
+                yield from ((u, phase) for u in funcs if u.mesh is mesh)
+
+    def dp1d_solution(self) -> DiscreteFunction:
+        """The dp-1d case solved on the interval n = 32."""
+        case = manufactured_case("dp-1d")
+        return self._get("dp-1d", lambda: _frozen(case.solve(self.interval(32)).u))
 
 
-def _sample_functions(seed: int, per_mesh: int = 6) -> list:
-    rng = np.random.default_rng(seed)
-    out = []
-    for mesh in _verify_meshes():
-        for _ in range(per_mesh):
-            out.append(random_smooth_function(mesh, rng))
-    return out
+def _frozen(u: DiscreteFunction) -> DiscreteFunction:
+    u.values.setflags(write=False)
+    u.gradients.setflags(write=False)
+    return u
 
 
 # --------------------------------------------------------------------------
 # exponent-field properties
 
 
-def _prop_field_bounds(seed: int):
-    rng = np.random.default_rng(seed)
+def _prop_field_bounds(run: _Run):
+    rng = np.random.default_rng(run.seed)
     worst = 0.0
-    for mesh in _verify_meshes():
-        for _, phase in standard_phase_configs(mesh.dim):
+    for mesh in run.meshes():
+        for _, phase in run.phases(mesh.dim):
             pts = rng.uniform(
                 mesh.nodes.min(axis=0), mesh.nodes.max(axis=0), size=(400, mesh.dim)
             )
@@ -168,10 +207,9 @@ def _prop_field_bounds(seed: int):
     return worst <= 1e-12, f"max bound violation {worst:.3e}"
 
 
-def _random_smooth_triples(seed: int, count: int):
+def _random_smooth_triples(mesh: Mesh, seed: int, count: int):
     """Random Lipschitz (p, q, mu) triples as nodal tables on a 1d mesh."""
     rng = np.random.default_rng(seed)
-    mesh = build_interval_mesh(0.0, 1.0, 32)
     x = mesh.nodes[:, 0]
     out = []
     for _ in range(count):
@@ -192,9 +230,9 @@ def _random_smooth_triples(seed: int, count: int):
     return out
 
 
-def _prop_a1_sufficient_implies_characterized(seed: int, count: int = 12):
+def _prop_a1_sufficient_implies_characterized(run: _Run, count: int = 12):
     hits = 0
-    for mesh, phase in _random_smooth_triples(seed, count):
+    for mesh, phase in _random_smooth_triples(run.interval(32), run.seed, count):
         if check_A1_sufficient(phase, mesh, alpha=1.0).passed:
             hits += 1
             beta, _ = check_A1_characterization(phase, mesh)
@@ -203,26 +241,27 @@ def _prop_a1_sufficient_implies_characterized(seed: int, count: int = 12):
     return True, f"{hits}/{count} triples passed the sufficient test; all had beta > 0"
 
 
-def _prop_holder_monotone(seed: int):
-    rng = np.random.default_rng(seed)
-    mesh = build_interval_mesh(0.0, 1.0, 64)
+def _prop_holder_monotone(run: _Run):
+    rng = np.random.default_rng(run.seed)
+    mesh = run.interval(64)
     u = random_smooth_function(mesh, rng, zero_boundary=False)
     f = ScalarField.from_table(mesh, u.values)
     alphas = [0.25, 0.5, 0.75, 1.0]
-    est = [estimate_holder(f, mesh, a, seed=seed) for a in alphas]
+    est = [estimate_holder(f, mesh, a, seed=run.seed) for a in alphas]
     ok = all(b >= a * (1.0 - 1e-12) for a, b in zip(est, est[1:]))
     return ok, "estimates " + ", ".join(f"{e:.4g}" for e in est)
 
 
-def _prop_critical_exponent(seed: int):
-    worst = np.inf
-    for mesh in _verify_meshes():
-        for _, phase in standard_phase_configs(mesh.dim):
-            if not check_condition_H(phase, mesh).passed:
-                continue
-            pts = sample_points(mesh)
-            gap = critical_exponent_field(phase.p, phase.dim)(pts) - phase.q(pts)
-            worst = min(worst, float(gap.min()))
+def _prop_critical_exponent(run: _Run):
+    gaps = []
+    for mesh in run.meshes():
+        for _, phase in run.phases(mesh.dim):
+            if check_condition_H(phase, mesh).passed:
+                pts = sample_points(mesh)
+                gaps.append(critical_exponent_field(phase.p, phase.dim)(pts) - phase.q(pts))
+    if not gaps:
+        return False, "no phase satisfies condition H: nothing checked"
+    worst = min(float(gap.min()) for gap in gaps)
     return worst > 0.0, f"min p* - q gap {worst:.6g}"
 
 
@@ -230,25 +269,24 @@ def _prop_critical_exponent(seed: int):
 # modular / norm properties
 
 
-def _prop_unit_ball(seed: int):
+def _prop_unit_ball(run: _Run):
     worst = 0.0
-    for u in _sample_functions(seed):
-        for _, phase in standard_phase_configs(u.mesh.dim)[:3]:
-            for which in ("value", "sobolev"):
-                lam = luxemburg_norm(u, phase, which)
-                scaled = u * (1.0 / lam)
-                rho = modular(scaled, phase, which).total
-                worst = max(worst, abs(rho - 1.0))
+    for u, phase in run.function_phases(6):
+        for which in ("value", "sobolev"):
+            lam = luxemburg_norm(u, phase, which)
+            scaled = u * (1.0 / lam)
+            rho = modular(scaled, phase, which).total
+            worst = max(worst, abs(rho - 1.0))
     return worst <= 1e-10, f"max |rho(u/||u||) - 1| = {worst:.3e}"
 
 
-def _prop_norm_modular_relations(seed: int):
+def _prop_norm_modular_relations(run: _Run):
     worst = np.inf
-    rng = np.random.default_rng(seed)
-    for u in _sample_functions(seed):
+    rng = np.random.default_rng(run.seed)
+    for u in run.functions(6):
         scale = rng.choice([0.05, 0.3, 1.0, 3.0, 20.0])
         v = u * scale
-        for _, phase in standard_phase_configs(u.mesh.dim)[:3]:
+        for _, phase in run.phases(u.mesh.dim)[:3]:
             for which in ("value", "sobolev"):
                 rep = check_norm_modular(v, phase, which)
                 worst = min(worst, min(s for _, s in rep.slacks))
@@ -257,10 +295,10 @@ def _prop_norm_modular_relations(seed: int):
     return True, f"min relation slack {worst:.3e}"
 
 
-def _prop_homogeneity(seed: int):
+def _prop_homogeneity(run: _Run):
     phase = constant_phase(2.5, 3.5, 0.0, dim=3)
     worst = 0.0
-    for u in _sample_functions(seed, per_mesh=4):
+    for u in run.functions(4):
         _, w, _ = u.mesh.quadrature_points(4)
         classical = float(np.sum(w * np.abs(u.values_at(4)) ** 2.5)) ** (1.0 / 2.5)
         lam = luxemburg_norm(u, phase, "value")
@@ -268,19 +306,18 @@ def _prop_homogeneity(seed: int):
     return worst <= 1e-10, f"max relative gap to the classical p-norm {worst:.3e}"
 
 
-def _prop_seminorm_bound(seed: int):
+def _prop_seminorm_bound(run: _Run):
     worst = -np.inf
-    for u in _sample_functions(seed, per_mesh=4):
-        for _, phase in standard_phase_configs(u.mesh.dim)[:3]:
-            semi = weighted_seminorm(u, phase)
-            lam = luxemburg_norm(u, phase, "value")
-            worst = max(worst, semi - lam)
+    for u, phase in run.function_phases(4):
+        semi = weighted_seminorm(u, phase)
+        lam = luxemburg_norm(u, phase, "value")
+        worst = max(worst, semi - lam)
     return worst <= 1e-10, f"max ||u||_(q,mu) - ||u||_H = {worst:.3e}"
 
 
-def _prop_reverse_holder(seed: int):
-    rng = np.random.default_rng(seed)
-    mesh = build_interval_mesh(0.0, 1.0, 24)
+def _prop_reverse_holder(run: _Run):
+    rng = np.random.default_rng(run.seed)
+    mesh = run.interval(24)
     worst = np.inf
     for _ in range(40):
         fv = rng.uniform(0.1, 3.0, mesh.num_nodes)
@@ -310,9 +347,9 @@ def _nodal_modular(u: DiscreteFunction, phase: DoublePhase) -> float:
     return float(np.sum(w * (a**p + mu * a**q)))
 
 
-def _prop_truncation(seed: int):
-    for u in _sample_functions(seed, per_mesh=3):
-        phase = standard_phase_configs(u.mesh.dim)[0][1]
+def _prop_truncation(run: _Run):
+    for u in run.functions(3):
+        phase = run.phases(u.mesh.dim)[0][1]
         plus, minus = truncate(u, 1), truncate(u, -1)
         if not np.array_equal(plus.values - minus.values, u.values):
             return False, "u+ - u- != u at some node"
@@ -327,7 +364,7 @@ def _prop_truncation(seed: int):
 # discretization properties
 
 
-def _prop_partition_of_unity(seed: int):
+def _prop_partition_of_unity(run: _Run):
     worst = 0.0
     for order in range(1, 9):
         for rule in (gauss_interval(order), gauss_triangle(order)):
@@ -335,9 +372,9 @@ def _prop_partition_of_unity(seed: int):
     return worst <= 1e-14, f"max |sum(basis) - 1| = {worst:.3e}"
 
 
-def _prop_gradient_consistency(seed: int):
+def _prop_gradient_consistency(run: _Run):
     worst = 0.0
-    for mesh in _verify_meshes():
+    for mesh in run.meshes():
         u = interpolate(mesh, lambda x: x[:, 0])
         val = float(np.sum(mesh.measures * np.sum(u.gradients**2, axis=1)))
         volume = float(mesh.measures.sum())
@@ -345,11 +382,11 @@ def _prop_gradient_consistency(seed: int):
     return worst <= 1e-14, f"max relative defect {worst:.3e}"
 
 
-def _prop_refinement_monotone(seed: int):
+def _prop_refinement_monotone(run: _Run):
     phase = constant_phase(2.0, 3.0, 1.0, dim=3)
     errs = []
     for n in (8, 16, 32, 64):
-        mesh = build_interval_mesh(0.0, 1.0, n)
+        mesh = run.interval(n)
         u = interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]))
         g_exact = mesh.sample(lambda x: np.pi * np.cos(np.pi * x[:, 0]), 4)
         diff = np.abs(u.gradients[:, None, 0] - g_exact)
@@ -379,11 +416,11 @@ def gradient_check_pair(mesh: Mesh, rng) -> tuple:
     return u, h
 
 
-def _prop_gradient_check(seed: int):
-    rng = np.random.default_rng(seed)
+def _prop_gradient_check(run: _Run):
+    rng = np.random.default_rng(run.seed)
     phase = constant_phase(2.5, 3.5, 1.0, dim=3)
     lo, hi = np.inf, -np.inf
-    for mesh in _verify_meshes():
+    for mesh in run.meshes():
         for _ in range(3):
             u, h = gradient_check_pair(mesh, rng)
             r1 = gradient_check(u, h, phase, eps=1e-4)
@@ -394,23 +431,25 @@ def _prop_gradient_check(seed: int):
     return ok, f"eps-halving error ratios in [{lo:.3f}, {hi:.3f}]"
 
 
-def _prop_strict_monotonicity(seed: int):
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for mesh in _verify_meshes():
-        for _, phase in standard_phase_configs(mesh.dim):
+def _prop_strict_monotonicity(run: _Run):
+    rng = np.random.default_rng(run.seed)
+    worst, checked = np.inf, 0
+    for mesh in run.meshes():
+        for _, phase in run.phases(mesh.dim):
             for _ in range(5):
                 u = random_smooth_function(mesh, rng)
                 v = random_smooth_function(mesh, rng)
                 if np.array_equal(u.values, v.values):
                     continue
-                worst = min(worst, monotonicity_probe(u, v, phase))
+                worst, checked = min(worst, monotonicity_probe(u, v, phase)), checked + 1
+    if not checked:
+        return False, "every pair was identical: nothing checked"
     return worst > 0.0, f"min <A(u)-A(v), u-v> = {worst:.3e}"
 
 
-def _prop_coercivity_trend(seed: int):
-    rng = np.random.default_rng(seed)
-    mesh = build_interval_mesh(0.0, 1.0, 32)
+def _prop_coercivity_trend(run: _Run):
+    rng = np.random.default_rng(run.seed)
+    mesh = run.interval(32)
     phase = constant_phase(2.0, 3.0, 1.0, dim=3)
     u = random_smooth_function(mesh, rng)
     ratios = []
@@ -422,27 +461,29 @@ def _prop_coercivity_trend(seed: int):
     return ok, f"ratio grew {ratios[0]:.3e} -> {ratios[-1]:.3e} over t = 1..2^10"
 
 
-def _prop_pairing_modular_identity(seed: int):
+def _prop_pairing_modular_identity(run: _Run):
     worst = 0.0
-    for u in _sample_functions(seed, per_mesh=4):
-        for _, phase in standard_phase_configs(u.mesh.dim)[:3]:
-            a = apply_operator(u, u, phase)
-            m = modular(u, phase, "gradient").total
-            worst = max(worst, abs(a - m) / max(m, 1e-300))
+    for u, phase in run.function_phases(4):
+        a = apply_operator(u, u, phase)
+        m = modular(u, phase, "gradient").total
+        worst = max(worst, abs(a - m) / max(m, 1e-300))
     return worst <= 1e-14, f"max relative gap {worst:.3e}"
 
 
-def _prop_jacobian_symmetric_psd(seed: int):
-    rng = np.random.default_rng(seed)
-    worst_asym, worst_eig = 0.0, np.inf
-    for mesh in _verify_meshes():
-        for label, phase in standard_phase_configs(mesh.dim):
+def _prop_jacobian_symmetric_psd(run: _Run):
+    rng = np.random.default_rng(run.seed)
+    worst_asym, worst_eig, checked = 0.0, np.inf, 0
+    for mesh in run.meshes():
+        for _, phase in run.phases(mesh.dim):
             if field_bounds(phase.p, mesh)[0] < 2.0:
                 continue
             u = random_smooth_function(mesh, rng)
             K = assemble_jacobian(u, phase).toarray()
             worst_asym = max(worst_asym, float(np.max(np.abs(K - K.T))))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(K).min()))
+            checked += 1
+    if not checked:
+        return False, "no phase has p- >= 2: nothing checked"
     ok = worst_asym == 0.0 and worst_eig >= -1e-10
     return ok, f"max asymmetry {worst_asym:.1e}, min eigenvalue {worst_eig:.3e}"
 
@@ -451,28 +492,28 @@ def _prop_jacobian_symmetric_psd(seed: int):
 # eigensolver properties
 
 
-def _prop_rayleigh_consistency(seed: int):
+def _prop_rayleigh_consistency(run: _Run):
     tol = 1e-10
-    res2 = first_eigenvalue(build_interval_mesh(0.0, 1.0, 128), 2.0, tol=tol)
+    res2 = first_eigenvalue(run.interval(128), 2.0, tol=tol)
     gap2 = abs(res2.value - rayleigh_quotient(res2.eigenfunction, 2.0))
     tol3 = 1e-8
-    res3 = first_eigenvalue(build_interval_mesh(0.0, 1.0, 32), 3.0, tol=tol3)
+    res3 = first_eigenvalue(run.interval(32), 3.0, tol=tol3)
     gap3 = abs(res3.value - rayleigh_quotient(res3.eigenfunction, 3.0))
     ok = gap2 <= 10 * tol * max(1.0, res2.value) and gap3 <= 10 * tol3 * max(1.0, res3.value)
     return ok, f"|lambda - RQ| = {gap2:.2e} (r=2), {gap3:.2e} (r=3)"
 
 
-def _prop_domain_monotonicity(seed: int):
-    lam1 = first_eigenvalue(build_interval_mesh(0.0, 1.0, 256), 2.0).value
-    lam2 = first_eigenvalue(build_interval_mesh(0.0, 2.0, 512), 2.0).value
+def _prop_domain_monotonicity(run: _Run):
+    lam1 = first_eigenvalue(run.interval(256), 2.0).value
+    lam2 = first_eigenvalue(run.interval(512, 0.0, 2.0), 2.0).value
     ratio = lam1 / lam2
     ok = lam1 > lam2 and abs(ratio - 4.0) <= 0.04
     return ok, f"lambda(0,1)/lambda(0,2) = {ratio:.6f}"
 
 
-def _prop_variational_bound(seed: int):
-    rng = np.random.default_rng(seed)
-    mesh = build_interval_mesh(0.0, 1.0, 64)
+def _prop_variational_bound(run: _Run):
+    rng = np.random.default_rng(run.seed)
+    mesh = run.interval(64)
     lam = first_eigenvalue(mesh, 2.0).value
     worst = np.inf
     for _ in range(10):
@@ -485,41 +526,37 @@ def _prop_variational_bound(seed: int):
 # solver properties
 
 
-def _prop_newton_descent(seed: int):
-    case = manufactured_case("dp-1d")
-    mesh = case.build_mesh(64)
-    rep = solve_monotone(case.phase, mesh, lambda x: np.ones(x.shape[0]))
+def _prop_newton_descent(run: _Run):
+    phase = manufactured_case("dp-1d").phase
+    rep = solve_monotone(phase, run.interval(64), lambda x: np.ones(x.shape[0]))
     merit = rep.energy_history
     ok = rep.converged and len(merit) >= 2
     ok = ok and all(b < a for a, b in zip(merit, merit[1:]))
     return ok, f"merit decreased over {len(merit) - 1} accepted steps"
 
 
-def _prop_zero_boundary(seed: int):
-    case = manufactured_case("dp-1d")
-    mesh = case.build_mesh(32)
-    rep = case.solve(mesh)
-    bvals = rep.u.values[mesh.boundary_nodes]
+def _prop_zero_boundary(run: _Run):
+    u = run.dp1d_solution()
+    bvals = u.values[u.mesh.boundary_nodes]
     ok = np.array_equal(bvals, np.zeros(bvals.size))
     return ok, "boundary values identically zero"
 
 
-def _prop_poisson_rate(seed: int):
+def _prop_poisson_rate(run: _Run):
     _, ratios, ok = manufactured_case("poisson-1d").convergence((16, 32, 64))
     return ok, "L2 ratios " + ", ".join(f"{r:.3f}" for r in ratios)
 
 
-def _prop_nontriviality(seed: int):
-    case = manufactured_case("dp-1d")
-    rep = case.solve(case.build_mesh(32))
-    norm = luxemburg_norm(rep.u, case.phase, "gradient")
+def _prop_nontriviality(run: _Run):
+    phase = manufactured_case("dp-1d").phase
+    norm = luxemburg_norm(run.dp1d_solution(), phase, "gradient")
     return norm > 0.0, f"||u||_(1,H,0) = {norm:.6g}"
 
 
-def _prop_uniqueness_multistart(seed: int):
+def _prop_uniqueness_multistart(run: _Run):
     case = manufactured_case("convection-linear")
-    mesh = case.build_mesh(128)
-    rep = verify_uniqueness(case.phase, mesh, case.term, SolverOptions(), seed=seed)
+    mesh = run.interval(128)
+    rep = verify_uniqueness(case.phase, mesh, case.term, SolverOptions(), seed=run.seed)
     return (
         rep.passed,
         f"margin {rep.margin:.4f}, max disagreement {rep.max_disagreement:.3e}",
@@ -564,7 +601,9 @@ def run_properties(seed: int = 0, names=None) -> list:
     """Run the catalogue (or the named subset) and return PropertyResults.
 
     Each property re-seeds independently from ``seed``, so results do not
-    depend on which other properties ran.
+    depend on which other properties ran.  The run builds each shared input
+    once (see :class:`_Run`) and drops them all when it returns, so the next
+    run starts from nothing.
     """
     if names is None:
         selected = _PROPERTIES
@@ -577,8 +616,9 @@ def run_properties(seed: int = 0, names=None) -> list:
                 f"available: {', '.join(property_names())}"
             )
         selected = [(n, lookup[n]) for n in names]
+    run = _Run(seed)
     results = []
     for name, fn in selected:
-        passed, detail = fn(seed)
+        passed, detail = fn(run)
         results.append(PropertyResult(name, bool(passed), detail))
     return results

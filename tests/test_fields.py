@@ -291,6 +291,7 @@ def test_sample_pairs_empty_without_edges_or_budget():
 def _pair_consumer_reports(mesh, phase):
     beta_max, a1 = check_A1_characterization(phase, mesh)
     return {
+        "holder": [estimate_holder(f, mesh, 0.5) for f in (phase.p, phase.q, phase.mu)],
         "Hprime": check_condition_Hprime(phase, mesh).to_dict(),
         "Hpp": check_condition_Hpp(phase, mesh).to_dict(),
         "A1-sufficient": check_A1_sufficient(phase, mesh, alpha=1.0).to_dict(),
@@ -310,15 +311,37 @@ def _pair_consumer_cases():
             },
         }
     )
-    return [(cfg.mesh, cfg.require_phase()), *_random_smooth_triples(3, 2)]
+    triples = _random_smooth_triples(build_interval_mesh(0.0, 1.0, 32), 3, 2)
+    return [(cfg.mesh, cfg.require_phase()), *triples]
 
 
 def test_pair_consumers_match_row_unique_reference(monkeypatch):
     cases = _pair_consumer_cases()
     got = [_pair_consumer_reports(mesh, phase) for mesh, phase in cases]
+    warm = [_pair_consumer_reports(mesh, phase) for mesh, phase in cases]  # cached pairs
     monkeypatch.setattr(fields, "sample_pairs", pairs_reference.sample_pairs)
     want = [_pair_consumer_reports(mesh, phase) for mesh, phase in cases]
-    assert got == want
+    assert got == warm == want
+
+
+def test_sample_pairs_slot_keeps_one_seed_per_budget(monkeypatch):
+    builds = []
+    unique = fields._unique_pairs
+    monkeypatch.setattr(fields, "_unique_pairs", lambda *a: builds.append(a) or unique(*a))
+    mesh = build_interval_mesh(0.0, 1.0, 32)
+    first = sample_pairs(mesh, 100, 0)
+    assert all(a is b for a, b in zip(sample_pairs(mesh, 100, 0), first))
+    sample_pairs(mesh, 2000, 0)  # its own slot: budget 100 keeps its entry
+    assert sample_pairs(mesh, 100, 0)[0] is first[0]
+    assert len(builds) == 2
+    sample_pairs(mesh, 100, 1)  # replaces seed 0 in the budget-100 slot
+    again = sample_pairs(mesh, 100, 0)
+    assert again[0] is not first[0] and len(builds) == 4
+    for got, want in zip(again, first):
+        _assert_same_array(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0
 
 
 def _all_check_reports(checks, mesh, phase):
